@@ -1,0 +1,10 @@
+"""Import paths for ``pytest benchmarks/suite``: the benchmark's own modules and
+the ``repro`` sources of this checkout."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parents[1] / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
