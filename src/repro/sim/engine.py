@@ -1,6 +1,6 @@
 """Discrete-event simulation engine.
 
-A preemptive uniprocessor with DVS, driven by any
+Preemptive DVS processors driven by any
 :class:`~repro.sched.base.Scheduler`.  The engine owns ground truth
 (true job demands); the scheduler sees only budgets and executed cycles.
 
@@ -14,7 +14,7 @@ The scheduler is (re-)invoked at exactly the paper's scheduling events:
 
 Between events the chosen job runs at the chosen frequency.  The engine
 advances time to the earliest of: next arrival, next relevant
-termination, predicted completion of the running job, or the horizon —
+termination, predicted completion of a running job, or the horizon —
 then applies state changes and re-invokes the scheduler.
 
 Abortion semantics (paper Section 2.2): when a pending job's
@@ -23,6 +23,19 @@ termination time is reached, an exception is raised which aborts the job
 `-NA` baselines) suppress this, so stale jobs keep executing and accrue
 zero utility — the domino-effect regime of the evaluation.  Exception
 handlers are modelled as zero-cost (the paper does not charge them).
+
+Cores
+-----
+The loop runs over a list of ``m`` processors sharing one ready queue.
+Dispatch is the only step that depends on ``m``: ``decide`` is called
+once per core over residual views (``view.without(...)``) until the
+policy idles, so at ``m = 1`` it is exactly one call.  With ``m > 1``
+the picks are placed affinity-first (a job resumes on the core it last
+ran on when that core is free; other moves count as migrations) and
+each busy core then gets its own frequency decision over a per-core
+residual view.  Built over a single :class:`~repro.cpu.Processor` the
+engine is the uniprocessor; built over a list it tags every per-core
+event with ``core=k`` (see :class:`repro.mp.GlobalEngine`).
 """
 
 from __future__ import annotations
@@ -31,9 +44,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cpu import Processor, ProcessorStats
+from ..cpu import EnergyModel, FrequencyScale, Processor, ProcessorStats
 from ..demand import DemandProfiler
 from ..obs import EventKind, Observer
 from .clock import Clock, as_clock
@@ -48,12 +61,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports sim)
     from ..check import InvariantChecker
     from ..runtime import AdaptiveRuntime
 
-__all__ = ["Engine", "SimulationResult", "SimulationError"]
+__all__ = ["Engine", "SimulationResult", "SimulationError", "build_view"]
 
 #: Cycle tolerance: a job with fewer remaining Mcycles is complete.
 EPS_CYCLES = 1e-9
 #: Time tolerance for event coincidence.
 EPS_TIME = 1e-12
+
+#: One executed/idle interval of one core: (start, end, job key or None,
+#: frequency).  Same shape as :class:`repro.sim.trace.Segment`.
+CoreSegment = Tuple[float, float, Optional[str], float]
 
 
 class SimulationError(RuntimeError):
@@ -63,12 +80,13 @@ class SimulationError(RuntimeError):
 class _ArrivalLog:
     """Append-only release log of one task with a trailing-window head.
 
-    The UAM window is trimmed by advancing ``head`` — entries are never
-    removed, so an :class:`~repro.sim.scheduler.ArrivalWindow` snapshot
-    handed to a :class:`SchedulerView` stays valid after the engine
-    moves on.  ``snap`` caches the current window's snapshot; it is
-    invalidated on append and on trim so unchanged windows are shared
-    between consecutive decision points instead of re-copied.
+    The UAM window is trimmed by advancing ``head`` (:func:`build_view`)
+    — entries are never removed, so an
+    :class:`~repro.sim.scheduler.ArrivalWindow` snapshot handed to a
+    :class:`SchedulerView` stays valid after the engine moves on.
+    ``snap`` caches the current window's snapshot; it is invalidated on
+    append and on trim so unchanged windows are shared between
+    consecutive decision points instead of re-copied.
     """
 
     __slots__ = ("data", "head", "snap")
@@ -82,22 +100,109 @@ class _ArrivalLog:
         self.data.append(release)
         self.snap = None
 
-    def trim(self, cutoff: float) -> None:
-        """Advance ``head`` past entries at or before ``cutoff``."""
-        data = self.data
-        head = self.head
+
+#: Snapshot recipe of one task: (release log, task name, UAM window).
+WindowSpec = Tuple[_ArrivalLog, str, float]
+
+
+def build_view(
+    t: float,
+    ready: List[Job],
+    taskset: TaskSet,
+    window_specs: List[WindowSpec],
+    event: SchedulingEvent,
+    scale: FrequencyScale,
+    energy_model: EnergyModel,
+    energy_consumed: float = 0.0,
+    dvs: bool = True,
+) -> SchedulerView:
+    """Build the scheduler-visible snapshot for one decision point.
+
+    ``window_specs`` is the hoisted per-task recipe, so each decision's
+    trim-and-window pass (inlined: it runs once per task per decision)
+    reads locals instead of chasing attribute chains.  ``ready`` is the
+    caller's *live* list — it is mutated in place by the post-decision
+    abort pass and the completion handler.
+    :class:`SchedulerView` copies it on construction, so a view
+    retained by an observer, checker, or scheduler stays
+    membership-stable after the caller moves on; the regression suite
+    pins this.  Per-task arrival windows are
+    :class:`~repro.sim.scheduler.ArrivalWindow` snapshots over the
+    append-only release logs — equally stable, without per-decision
+    list copies.
+    """
+    counts: Dict[str, ArrivalWindow] = {}
+    for log, name, window in window_specs:
+        # Trim: advance the head past releases at or before the cutoff.
+        cutoff = t - window + EPS_TIME
+        data = log.data
+        head = log.head
         n = len(data)
         while head < n and data[head] <= cutoff:
             head += 1
-        if head != self.head:
-            self.head = head
-            self.snap = None
+        snap = log.snap
+        if head != log.head or snap is None:
+            log.head = head
+            snap = log.snap = ArrivalWindow(data, head, n)
+        counts[name] = snap
+    return SchedulerView(
+        time=t,
+        ready=ready,
+        taskset=taskset,
+        scale=scale,
+        energy_model=energy_model,
+        event=event,
+        arrivals_in_window=counts,
+        energy_consumed=energy_consumed,
+        dvs=dvs,
+    )
 
-    def window(self) -> ArrivalWindow:
-        snap = self.snap
-        if snap is None:
-            snap = self.snap = ArrivalWindow(self.data, self.head, len(self.data))
-        return snap
+
+class _CoreObserver:
+    """Observer proxy that stamps every event with its core index.
+
+    Duck-types the :class:`~repro.obs.Observer` surface the engine and
+    schedulers touch (``emit``/``inc``/``set_gauge``/``observe``/
+    ``record`` plus the ``events``/``metrics``/``profiler``/``spans``
+    attributes).  All sinks are *shared* with the wrapped observer —
+    only ``emit`` is intercepted, to inject ``core=k`` into the event's
+    field dict.  Metric label cardinality is left untouched so m=1 runs
+    aggregate identically to uniprocessor ones.
+    """
+
+    __slots__ = ("_obs", "core", "events", "metrics", "profiler", "spans")
+
+    def __init__(self, obs: Observer, core: int):
+        self._obs = obs
+        self.core = core
+        self.events = obs.events
+        self.metrics = obs.metrics
+        self.profiler = obs.profiler
+        self.spans = obs.spans
+
+    def emit(self, time, kind, job=None, source="engine", **fields) -> None:
+        if self.events is not None:
+            self.events.emit(time, kind, job, source, core=self.core, **fields)
+
+    def inc(self, name, amount=1.0, **labels) -> None:
+        self._obs.inc(name, amount, **labels)
+
+    def set_gauge(self, name, value, **labels) -> None:
+        self._obs.set_gauge(name, value, **labels)
+
+    def observe(self, name, value, **labels) -> None:
+        self._obs.observe(name, value, **labels)
+
+    def record(self, name, seconds) -> None:
+        self._obs.record(name, seconds)
+
+    @property
+    def profiling(self) -> bool:
+        return self.profiler is not None
+
+    @property
+    def tracing(self) -> bool:
+        return self.spans is not None
 
 
 @dataclass
@@ -121,13 +226,20 @@ class SimulationResult:
 
 
 class Engine:
-    """One simulation run binding a workload, a scheduler and a CPU."""
+    """One simulation run binding a workload, a scheduler and a CPU.
+
+    ``processor`` is either one :class:`~repro.cpu.Processor` (the
+    uniprocessor: events carry no core field) or a list of ``m`` of
+    them sharing the ready queue (global dispatch: per-core events end
+    with ``core=k``, execution segments land in :attr:`core_segments`
+    and migrations in :attr:`migrations`).
+    """
 
     def __init__(
         self,
         workload: WorkloadTrace,
         scheduler: Scheduler,
-        processor: Processor,
+        processor: Union[Processor, Sequence[Processor]],
         record_trace: bool = False,
         profiler: Optional[DemandProfiler] = None,
         observer: Optional[Observer] = None,
@@ -137,7 +249,24 @@ class Engine:
     ):
         self.workload = workload
         self.scheduler = scheduler
-        self.processor = processor
+        if isinstance(processor, Processor):
+            self.cores: List[Processor] = [processor]
+            #: Extra fields of per-core events, expanded only when observed.
+            self._tags: List[Dict[str, int]] = [{}]
+            self.core_segments: Optional[List[List[CoreSegment]]] = None
+        else:
+            self.cores = list(processor)
+            self._tags = [{"core": k} for k in range(len(self.cores))]
+            self.core_segments = [[] for _ in self.cores]
+        self.processor = self.cores[0]
+        self.migrations = 0
+        #: Core-stamping observer proxies for the per-core frequency
+        #: decisions (FREQ_DECISION events carry ``core=k``).
+        self._core_obs: Optional[List[_CoreObserver]] = (
+            [_CoreObserver(observer, k) for k in range(len(self.cores))]
+            if observer is not None and len(self.cores) > 1
+            else None
+        )
         self.record_trace = bool(record_trace)
         self.profiler = profiler
         self.observer = observer
@@ -163,7 +292,7 @@ class Engine:
             ck.bind(self.workload.taskset, self.processor, self.scheduler, self.observer)
         rt = self.runtime
         if rt is None:
-            result = self._run()
+            result = self._result(self._run())
         else:
             rt.bind(
                 self.workload.taskset,
@@ -173,14 +302,26 @@ class Engine:
                 self.observer,
             )
             try:
-                result = self._run()
+                result = self._result(self._run())
             finally:
                 rt.finalize()
         if ck is not None:
             ck.on_result(result)
         return result
 
-    def _run(self) -> SimulationResult:
+    def _result(self, jobs: List[Job]) -> SimulationResult:
+        stats = self.processor.stats
+        horizon = self.workload.horizon
+        return SimulationResult(
+            scheduler_name=self.scheduler.name,
+            metrics=Metrics(self.workload.taskset, jobs, stats, horizon),
+            processor_stats=stats,
+            jobs=jobs,
+            horizon=horizon,
+            trace=self.trace,
+        )
+
+    def _run(self) -> List[Job]:
         """Span-tracing shim around the dispatch loop.
 
         With a tracer attached the whole run nests under one
@@ -198,11 +339,20 @@ class Engine:
         finally:
             sp.exit()
 
-    def _run_loop(self) -> SimulationResult:
+    def _run_loop(self) -> List[Job]:
+        """The event loop; returns the job population in arrival order."""
         taskset: TaskSet = self.workload.taskset
         horizon = self.workload.horizon
         scheduler = self.scheduler
-        cpu = self.processor
+        cores = self.cores
+        m = len(cores)
+        multi = m > 1
+        core_ids = range(m)
+        tags = self._tags
+        segments = self.core_segments
+        trace = self.trace
+        cpu0 = cores[0]
+        scale, energy_model = cpu0.scale, cpu0.model
 
         # Observability: `obs is None` must stay the zero-cost default —
         # every instrumentation site below is guarded by one branch.
@@ -215,7 +365,7 @@ class Engine:
         sp = obs.spans if obs is not None else None
         tracing = sp is not None
 
-        scheduler.setup(taskset, cpu.scale, cpu.model)
+        scheduler.setup(taskset, scale, energy_model)
 
         jobs: List[Job] = [
             Job(spec.task, spec.index, spec.release, spec.demand) for spec in self.workload
@@ -227,11 +377,7 @@ class Engine:
         releases: List[float] = [job.release for job in jobs]
         ready: List[Job] = []
         recent_arrivals: Dict[str, _ArrivalLog] = {t.name: _ArrivalLog() for t in taskset}
-        #: Snapshot recipe, hoisted once: (log, name, UAM window) per
-        #: task, so each decision's trim-and-window pass reads locals
-        #: instead of chasing ``recent_arrivals[task.name]`` and
-        #: ``task.uam.window`` attribute chains.
-        window_specs: List[Tuple[_ArrivalLog, str, float]] = [
+        window_specs: List[WindowSpec] = [
             (recent_arrivals[task.name], task.name, task.uam.window) for task in taskset
         ]
 
@@ -256,8 +402,11 @@ class Engine:
 
         t = 0.0
         event = SchedulingEvent.START
-        #: Job executing in the most recent segment (preemption detection).
-        last_running: Optional[Job] = None
+        #: Job executing on each core in the most recent segment
+        #: (preemption detection).
+        last_running: List[Optional[Job]] = [None] * m
+        #: id(job) -> core the job last *executed* on (m > 1 only).
+        last_exec_core: Dict[int, int] = {}
         # Progress guard: every iteration must either advance time or
         # change the job population; bound the zero-progress streak.
         stall_guard = 0
@@ -289,8 +438,8 @@ class Engine:
                     if verdict.action == "shed":
                         job.status = JobStatus.SHED
                         job.abort_time = t
-                        if self.trace is not None:
-                            self.trace.add_event(t, TraceEventKind.ABORT, job.key)
+                        if trace is not None:
+                            trace.add_event(t, TraceEventKind.ABORT, job.key)
                         continue
                     if verdict.action == "defer":
                         job.release = verdict.release
@@ -301,14 +450,14 @@ class Engine:
                         victim.status = JobStatus.SHED
                         victim.abort_time = t
                         ready.remove(victim)
-                        if self.trace is not None:
-                            self.trace.add_event(t, TraceEventKind.ABORT, victim.key)
+                        if trace is not None:
+                            trace.add_event(t, TraceEventKind.ABORT, victim.key)
                 ready.append(job)
                 recent_arrivals[job.task.name].append(job.release)
                 if ck is not None:
                     ck.on_release(job, t)
-                if self.trace is not None:
-                    self.trace.add_event(t, TraceEventKind.RELEASE, job.key)
+                if trace is not None:
+                    trace.add_event(t, TraceEventKind.RELEASE, job.key)
                 if obs is not None:
                     obs.emit(t, EventKind.RELEASE, job.key,
                              release=job.release, termination=job.termination)
@@ -329,8 +478,8 @@ class Engine:
                     job.status = JobStatus.EXPIRED
                     job.abort_time = t
                     ready.remove(job)
-                    if self.trace is not None:
-                        self.trace.add_event(t, TraceEventKind.EXPIRE, job.key)
+                    if trace is not None:
+                        trace.add_event(t, TraceEventKind.EXPIRE, job.key)
                     if obs is not None:
                         obs.emit(t, EventKind.EXPIRE, job.key,
                                  executed=job.executed, demand=job.demand)
@@ -347,75 +496,138 @@ class Engine:
             # --- consult the scheduler ---------------------------------
             if tracing:
                 sp.enter("engine.snapshot")
-            view = self._build_view(t, ready, taskset, window_specs, event)
+            if multi:
+                energy = 0.0
+                for cpu in cores:
+                    energy += cpu.stats.total_energy
+            else:
+                energy = cpu0.stats.total_energy
+            # At m > 1 the shared view carries all m cores' worth of
+            # demand, so any frequency computed over it is meaningless
+            # for a single core (decideFreq pins to f_max).  The
+            # selection round therefore runs with dvs=False — picks and
+            # aborts are unaffected — and per-core frequencies are
+            # decided afterwards over per-core residual views.
+            view = build_view(t, ready, taskset, window_specs, event,
+                              scale, energy_model, energy, not multi)
             if obs is not None:
                 obs.set_gauge("queue_depth", len(ready))
                 obs.observe("queue_depth_samples", len(ready))
                 obs.inc("scheduler_invocations", event=event.value)
             if tracing:
                 sp.exit()  # engine.snapshot
-                sp.enter("engine.decide")
-            if profiling:
-                t0 = perf_counter()
-                decision = scheduler.decide(view)
-                obs.record("engine.decide", perf_counter() - t0)
-            else:
-                decision = scheduler.decide(view)
-            if tracing:
-                sp.exit()  # engine.decide
-            if ck is not None:
-                ck.on_decision(view, decision, scheduler)
-            for job in decision.aborts:
-                if job.is_finished:
-                    raise SimulationError(f"scheduler aborted finished job {job.key}")
-                job.status = JobStatus.ABORTED
-                job.abort_time = t
-                if job in ready:
-                    ready.remove(job)
-                if self.trace is not None:
-                    self.trace.add_event(t, TraceEventKind.ABORT, job.key)
-                if obs is not None:
-                    obs.emit(t, EventKind.ABORT, job.key,
-                             executed=job.executed, budget=job.allocated)
-                    obs.inc("jobs_aborted", task=job.task.name)
-                advanced = True
 
-            running = decision.job
-            if running is not None:
-                if running not in ready:
+            # --- dispatch: up to one pick per core ---------------------
+            picks: List[Tuple[Job, float]] = []
+            working = view
+            for slot in core_ids:
+                if tracing:
+                    sp.enter("engine.decide")
+                if profiling:
+                    t0 = perf_counter()
+                    decision = scheduler.decide(working)
+                    obs.record("engine.decide", perf_counter() - t0)
+                else:
+                    decision = scheduler.decide(working)
+                if tracing:
+                    sp.exit()  # engine.decide
+                if ck is not None:
+                    ck.on_decision(working, decision, scheduler)
+                for job in decision.aborts:
+                    if job.is_finished:
+                        raise SimulationError(f"scheduler aborted finished job {job.key}")
+                    job.status = JobStatus.ABORTED
+                    job.abort_time = t
+                    if job in ready:
+                        ready.remove(job)
+                    if trace is not None:
+                        trace.add_event(t, TraceEventKind.ABORT, job.key)
+                    if obs is not None:
+                        obs.emit(t, EventKind.ABORT, job.key,
+                                 executed=job.executed, budget=job.allocated)
+                        obs.inc("jobs_aborted", task=job.task.name)
+                    advanced = True
+                picked = decision.job
+                if picked is None:
+                    break
+                if picked not in ready:
                     raise SimulationError(
-                        f"scheduler selected non-ready job {running.key}"
+                        f"scheduler selected non-ready job {picked.key}"
                     )
+                picks.append((picked, decision.frequency))
+                if slot + 1 < m:
+                    working = working.without([picked, *decision.aborts])
+
+            # --- place picks on cores (affinity first) -----------------
+            if multi:
+                assigned: List[Optional[Tuple[Job, float]]] = [None] * m
+                free = set(core_ids)
+                for pick in picks:
+                    k = last_exec_core.get(id(pick[0]), -1)
+                    if k not in free:
+                        k = min(free)
+                    assigned[k] = pick
+                    free.discard(k)
+                if picks:
+                    if tracing:
+                        sp.enter("engine.decide")
+                    self._decide_core_frequencies(view, ready, assigned)
+                    if tracing:
+                        sp.exit()  # engine.decide
+            else:
+                assigned = picks if picks else [None]
+
+            # Set each busy core's frequency; its predicted completion
+            # instant follows from it, so the earliest is tracked here.
+            running: List[Optional[Job]] = [None] * m
+            t_complete = math.inf
+            for k in core_ids:
+                pick = assigned[k]
+                if pick is None:
+                    continue
+                job, freq = pick
+                running[k] = job
+                cpu = cores[k]
                 freq_before = cpu.frequency
-                switch_overhead = cpu.set_frequency(decision.frequency)
+                switch_overhead = cpu.set_frequency(freq)
                 if switch_overhead > 0.0:
-                    # Charge the DVS transition as stalled (non-executing) time.
+                    # Charge the DVS transition as stalled (non-executing)
+                    # time; only a uniprocessor can have one (GlobalEngine
+                    # rejects switch_time > 0).
                     cpu.idle(switch_overhead)
                     if ck is not None:
                         ck.on_idle(switch_overhead)
                     t = min(horizon, t + switch_overhead)
-                if self.trace is not None and cpu.frequency != freq_before:
-                    self.trace.add_event(t, TraceEventKind.FREQ, value=cpu.frequency)
+                if trace is not None and cpu.frequency != freq_before:
+                    trace.add_event(t, TraceEventKind.FREQ, value=cpu.frequency)
                 if obs is not None and cpu.frequency != freq_before:
-                    obs.emit(t, EventKind.FREQ_SWITCH, running.key,
+                    obs.emit(t, EventKind.FREQ_SWITCH, job.key,
                              frequency=cpu.frequency, previous=freq_before,
-                             overhead=switch_overhead)
+                             overhead=switch_overhead, **tags[k])
                     obs.inc("freq_switches")
+                t_k = t + job.remaining_demand / cpu.frequency
+                if t_k < t_complete:
+                    t_complete = t_k
 
-            if obs is not None and running is not last_running:
-                if (
-                    last_running is not None
-                    and running is not None
-                    and last_running.status is JobStatus.PENDING
-                ):
-                    obs.emit(t, EventKind.PREEMPT, last_running.key,
-                             preempted_by=running.key)
-                    obs.inc("preemptions")
-                if running is not None:
-                    obs.emit(t, EventKind.DISPATCH, running.key,
-                             frequency=cpu.frequency,
-                             remaining_budget=running.remaining_budget)
-                    obs.inc("dispatches", task=running.task.name)
+            if obs is not None:
+                for k in core_ids:
+                    job = running[k]
+                    prev = last_running[k]
+                    if job is prev:
+                        continue
+                    if (
+                        prev is not None
+                        and job is not None
+                        and prev.status is JobStatus.PENDING
+                    ):
+                        obs.emit(t, EventKind.PREEMPT, prev.key,
+                                 preempted_by=job.key, **tags[k])
+                        obs.inc("preemptions")
+                    if job is not None:
+                        obs.emit(t, EventKind.DISPATCH, job.key,
+                                 frequency=cores[k].frequency,
+                                 remaining_budget=job.remaining_budget, **tags[k])
+                        obs.inc("dispatches", task=job.task.name)
 
             # --- find the next event -----------------------------------
             if tracing:
@@ -430,10 +642,6 @@ class Engine:
                     j_term = j.termination
                     if j_term < t_term and j_term > t_eps and j.task.abortable:
                         t_term = j_term
-            if running is not None:
-                t_complete = t + running.remaining_demand / cpu.frequency
-            else:
-                t_complete = math.inf
             t_next = min(horizon, t_arrival, t_term, t_complete)
             if t_next < t:
                 t_next = t  # coincident events; process without moving
@@ -445,25 +653,41 @@ class Engine:
 
             # --- advance ------------------------------------------------
             dt = t_next - t
-            if running is not None:
-                executed = cpu.run(dt)
-                running.executed += executed
-                if ck is not None:
-                    ck.on_segment(t, t_next, cpu.frequency, executed)
-                if self.trace is not None:
-                    self.trace.add_segment(t, t_next, running.key, cpu.frequency)
-            else:
-                cpu.idle(dt)
-                if ck is not None:
-                    ck.on_idle(dt)
-                if self.trace is not None:
-                    self.trace.add_segment(t, t_next, None, cpu.frequency)
-            if obs is not None:
-                last_running = running
-                if dt > 0.0:
+            for k in core_ids:
+                cpu = cores[k]
+                job = running[k]
+                if job is not None:
+                    if multi and dt > 0.0:
+                        prev_core = last_exec_core.get(id(job))
+                        if prev_core is not None and prev_core != k:
+                            self.migrations += 1
+                            if obs is not None:
+                                obs.emit(t, EventKind.MIGRATE, job.key,
+                                         core=k, previous_core=prev_core)
+                                obs.inc("migrations", task=job.task.name)
+                        last_exec_core[id(job)] = k
+                    executed = cpu.run(dt)
+                    job.executed += executed
+                    if ck is not None:
+                        ck.on_segment(t, t_next, cpu.frequency, executed)
+                    if trace is not None:
+                        trace.add_segment(t, t_next, job.key, cpu.frequency)
+                else:
+                    cpu.idle(dt)
+                    if ck is not None:
+                        ck.on_idle(dt)
+                    if trace is not None:
+                        trace.add_segment(t, t_next, None, cpu.frequency)
+                if segments is not None and dt > 0.0:
+                    segments[k].append(
+                        (t, t_next, job.key if job is not None else None, cpu.frequency)
+                    )
+                if obs is not None and dt > 0.0:
                     obs.inc("cpu_residency_seconds", dt,
                             mhz=f"{cpu.frequency:g}",
-                            state="busy" if running is not None else "idle")
+                            state="busy" if job is not None else "idle")
+            if obs is not None:
+                last_running = running  # a fresh list every iteration
             if dt > 0.0:
                 advanced = True
             t = t_next
@@ -472,29 +696,32 @@ class Engine:
                 sp.enter("engine.complete")
 
             # --- completion --------------------------------------------
-            if running is not None and running.remaining_demand <= EPS_CYCLES:
-                running.status = JobStatus.COMPLETED
-                running.completion_time = t
-                running.accrued_utility = running.utility_at(t)
-                ready.remove(running)
+            for k in core_ids:
+                job = running[k]
+                if job is None or job.remaining_demand > EPS_CYCLES:
+                    continue
+                job.status = JobStatus.COMPLETED
+                job.completion_time = t
+                job.accrued_utility = job.utility_at(t)
+                ready.remove(job)
                 if ck is not None:
-                    ck.on_completion(running, t)
-                scheduler.on_completion(running, t)
+                    ck.on_completion(job, t)
+                scheduler.on_completion(job, t)
                 if rt is not None:
-                    rt.on_completion(running, t)
+                    rt.on_completion(job, t)
                 if self.profiler is not None:
-                    self.profiler.record(running.task.name, running.executed)
-                if self.trace is not None:
-                    self.trace.add_event(
-                        t, TraceEventKind.COMPLETE, running.key, running.accrued_utility
+                    self.profiler.record(job.task.name, job.executed)
+                if trace is not None:
+                    trace.add_event(
+                        t, TraceEventKind.COMPLETE, job.key, job.accrued_utility
                     )
                 if obs is not None:
-                    obs.emit(t, EventKind.COMPLETE, running.key,
-                             utility=running.accrued_utility,
-                             sojourn=t - running.release)
-                    obs.inc("jobs_completed", task=running.task.name)
-                    obs.observe("sojourn_seconds", t - running.release)
-                    last_running = None
+                    obs.emit(t, EventKind.COMPLETE, job.key,
+                             utility=job.accrued_utility,
+                             sojourn=t - job.release, **tags[k])
+                    obs.inc("jobs_completed", task=job.task.name)
+                    obs.observe("sojourn_seconds", t - job.release)
+                    last_running[k] = None
                 event = SchedulingEvent.COMPLETION
                 advanced = True
 
@@ -511,7 +738,7 @@ class Engine:
                 # Nothing happened and nothing will: if no future events
                 # exist and the scheduler idles, we are done early.
                 if (
-                    running is None
+                    not picks
                     and arrival_idx >= n_jobs
                     and not deferred_heap
                     and (t_term is math.inf)
@@ -520,48 +747,103 @@ class Engine:
             else:
                 stall_guard = 0
 
-        metrics = Metrics(taskset, jobs, cpu.stats, horizon)
-        return SimulationResult(
-            scheduler_name=scheduler.name,
-            metrics=metrics,
-            processor_stats=cpu.stats,
-            jobs=jobs,
-            horizon=horizon,
-            trace=self.trace,
-        )
+        return jobs
 
     # ------------------------------------------------------------------
-    def _build_view(
+    def _decide_core_frequencies(
         self,
-        t: float,
+        view: SchedulerView,
         ready: List[Job],
-        taskset: TaskSet,
-        window_specs: List[Tuple["_ArrivalLog", str, float]],
-        event: SchedulingEvent,
-    ) -> SchedulerView:
-        """Build the scheduler-visible snapshot for one decision point.
+        assigned: List[Optional[Tuple[Job, float]]],
+    ) -> None:
+        """Per-core ``decideFreq`` over residual demand views (m > 1).
 
-        ``ready`` is the engine's *live* list — it is mutated in place by
-        the post-decision abort pass and the completion handler.
-        :class:`SchedulerView` copies it on construction, so a view
-        retained by an observer, checker, or scheduler stays
-        membership-stable after the engine moves on; the regression
-        suite pins this.  Per-task arrival windows are
-        :class:`~repro.sim.scheduler.ArrivalWindow` snapshots over the
-        engine's append-only release logs — equally stable, without the
-        per-decision list copies the engine used to make.
+        The selection round ran over the shared view with ``dvs=False``
+        (its m-core demand makes any single frequency meaningless).
+        Here the taskset is split per core: each picked job's task is
+        pinned to its core, and the remaining tasks are distributed
+        worst-fit by density using the same deterministic ordering as
+        the offline partitioner, so every busy core prices roughly
+        ``1/m`` of the background demand instead of all of it.  Each
+        assigned core then gets ``scheduler.decide_frequency`` over its
+        residual view: its own dispatch plus its task share out of the
+        live ``ready`` list (which no longer holds this event's
+        aborts), minus jobs dispatched elsewhere.  ``None`` keeps the
+        selection-round frequency (fixed-frequency policies).
+
+        ``assigned`` is updated in place.  Job selection is untouched —
+        only operating frequencies change, which is why m = 1 (this
+        method never runs) is the plain uniprocessor dispatch.
         """
-        counts: Dict[str, ArrivalWindow] = {}
-        for log, name, window in window_specs:
-            log.trim(t - window + EPS_TIME)
-            counts[name] = log.window()
-        return SchedulerView(
-            time=t,
-            ready=ready,
-            taskset=taskset,
-            scale=self.processor.scale,
-            energy_model=self.processor.model,
-            event=event,
-            arrivals_in_window=counts,
-            energy_consumed=self.processor.stats.total_energy,
+        scheduler = self.scheduler
+        taskset = view.taskset
+        m = len(assigned)
+
+        # A task picked on several cores at once (rare: multiple pending
+        # jobs of one task) is pinned to each, so every core's own
+        # dispatch is always covered by its view's taskset.
+        pinned: Dict[int, List[int]] = {}
+        for k in range(m):
+            pick = assigned[k]
+            if pick is not None:
+                pinned.setdefault(id(pick[0].task), []).append(k)
+
+        loads = [0.0] * m
+        members: List[List[int]] = [[] for _ in range(m)]
+        rest: List[int] = []
+        for i, task in enumerate(taskset):
+            cores_of_task = pinned.get(id(task))
+            if cores_of_task is None:
+                rest.append(i)
+                continue
+            for k in cores_of_task:
+                members[k].append(i)
+                loads[k] += task.min_feasible_frequency
+        # Same ordering key as repro.mp.partition.partition_taskset:
+        # density desc, utility-per-cycle desc, index — deterministic.
+        rest.sort(
+            key=lambda i: (
+                -taskset[i].min_feasible_frequency,
+                -(taskset[i].tuf.max_utility / taskset[i].allocation),
+                i,
+            )
         )
+        for i in rest:
+            k = min(range(m), key=lambda q: (loads[q], q))
+            members[k].append(i)
+            loads[k] += taskset[i].min_feasible_frequency
+
+        core_obs = self._core_obs
+        for k in range(m):
+            pick = assigned[k]
+            if pick is None:
+                continue
+            job = pick[0]
+            subset = sorted(members[k])
+            subset_ids = {id(taskset[i]) for i in subset}
+            elsewhere = {
+                id(p[0]) for q, p in enumerate(assigned) if p is not None and q != k
+            }
+            sub_view = SchedulerView(
+                time=view.time,
+                ready=[
+                    j
+                    for j in ready
+                    if id(j.task) in subset_ids and id(j) not in elsewhere
+                ],
+                taskset=TaskSet(taskset[i] for i in subset),
+                scale=view.scale,
+                energy_model=view.energy_model,
+                event=view.event,
+                arrivals_in_window=view._arrivals_in_window,
+                energy_consumed=view.energy_consumed,
+            )
+            if core_obs is not None:
+                scheduler.bind_observer(core_obs[k])
+            try:
+                freq = scheduler.decide_frequency(sub_view, job)
+            finally:
+                if core_obs is not None:
+                    scheduler.bind_observer(self.observer)
+            if freq is not None:
+                assigned[k] = (job, freq)

@@ -10,9 +10,9 @@ It binds the paper's online machinery to an *open* arrival stream:
   :class:`~repro.runtime.AdmissionController` (feasibility projection at
   ``f_max``, lowest-UER eviction on overload);
 * dispatching reuses the registry schedulers unchanged — the core
-  builds the same :class:`~repro.sim.scheduler.SchedulerView` snapshots
-  the engine builds, so EUA*'s σ construction and ``decideFreq()`` run
-  verbatim against live traffic;
+  builds its :class:`~repro.sim.scheduler.SchedulerView` snapshots with
+  the engine's own :func:`~repro.sim.engine.build_view`, so EUA*'s σ
+  construction and ``decideFreq()`` run verbatim against live traffic;
 * every decision lands in a :class:`~repro.obs.Observer` event log in
   the standard ``repro.obs`` wire format, which the HTTP front-end
   streams as JSONL.
@@ -32,15 +32,9 @@ from ..obs import EventKind, Observer
 from ..runtime import AdmissionController, UAMComplianceMonitor, ViolationPolicy
 from ..sched import make_scheduler
 from ..sim import Platform
-from ..sim.engine import EPS_CYCLES, EPS_TIME, _ArrivalLog
+from ..sim.engine import EPS_CYCLES, EPS_TIME, WindowSpec, _ArrivalLog, build_view
 from ..sim.job import Job, JobStatus
-from ..sim.scheduler import (
-    ArrivalWindow,
-    Decision,
-    Scheduler,
-    SchedulerView,
-    SchedulingEvent,
-)
+from ..sim.scheduler import Decision, Scheduler, SchedulingEvent
 from ..sim.task import TaskSet
 
 __all__ = ["ServiceCore", "SubmitOutcome", "UnknownTaskError"]
@@ -103,6 +97,10 @@ class ServiceCore:
         self._arrival_logs: Dict[str, _ArrivalLog] = {
             task.name: _ArrivalLog() for task in taskset
         }
+        self._window_specs: List[WindowSpec] = [
+            (self._arrival_logs[task.name], task.name, task.uam.window)
+            for task in taskset
+        ]
         self.ready: List[Job] = []
         #: Deferred submissions waiting for their granted release.
         self._deferred: List[Tuple[float, int, Job]] = []
@@ -235,7 +233,9 @@ class ServiceCore:
         obs = self.observer
         if not self.ready:
             return Decision(job=None, frequency=self.platform.scale.f_max)
-        view = self._build_view(t, event)
+        platform = self.platform
+        view = build_view(t, self.ready, self.taskset, self._window_specs, event,
+                          platform.scale, platform.energy_model)
         decision = self.scheduler.decide(view)
         for job in decision.aborts:
             job.status = JobStatus.ABORTED
@@ -288,22 +288,6 @@ class ServiceCore:
                 if job.task.abortable and job.termination > t + EPS_TIME:
                     candidates.append(job.termination)
         return min(candidates) if candidates else None
-
-    def _build_view(self, t: float, event: SchedulingEvent) -> SchedulerView:
-        counts: Dict[str, ArrivalWindow] = {}
-        for task in self.taskset:
-            log = self._arrival_logs[task.name]
-            log.trim(t - task.uam.window + EPS_TIME)
-            counts[task.name] = log.window()
-        return SchedulerView(
-            time=t,
-            ready=self.ready,
-            taskset=self.taskset,
-            scale=self.platform.scale,
-            energy_model=self.platform.energy_model,
-            event=event,
-            arrivals_in_window=counts,
-        )
 
     def stats(self) -> dict:
         """JSON-friendly counter snapshot (``/stats``, load reports)."""

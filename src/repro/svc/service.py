@@ -106,7 +106,10 @@ class SchedulerService:
     # ------------------------------------------------------------------
     async def _run_executor(self) -> None:
         core, clock = self.core, self.clock
-        while True:
+        # Checked every turn, not left to stop()'s cancel alone: under
+        # Python 3.11 ``asyncio.wait_for`` swallows a cancel that lands
+        # in the same loop turn as the wake it was waiting for.
+        while not self._stopping.is_set():
             self._wake.clear()
             t = clock.now()
             decision = core.decide(t)
@@ -175,20 +178,20 @@ class SchedulerService:
     ) -> None:
         try:
             while not self._stopping.is_set():
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    # The stream position is unknown past a bad request:
+                    # answer, then close instead of parsing on.
+                    writer.write(_response(exc.status, _json({"error": str(exc)}),
+                                           close=True))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, body = request
                 status, payload = self._route(method, path, body)
-                writer.write(
-                    (
-                        f"HTTP/1.1 {status}\r\n"
-                        "Content-Type: "
-                        f"{'application/x-ndjson' if path.startswith('/events') else 'application/json'}\r\n"
-                        f"Content-Length: {len(payload)}\r\n"
-                        "Connection: keep-alive\r\n\r\n"
-                    ).encode() + payload
-                )
+                writer.write(_response(status, payload, ndjson=path.startswith("/events")))
                 await writer.drain()
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
@@ -202,21 +205,35 @@ class SchedulerService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes]]:
-        line = await reader.readline()
-        if not line:
-            return None
+        """One request off the stream; ``None`` at a clean EOF.
+
+        Raises :class:`_BadRequest`: 400 for a malformed request line, a
+        line past the stream's buffer limit, or a ``Content-Length``
+        that is not a decimal count; 413 for a body over the cap.
+        """
         try:
-            method, path, _version = line.decode("ascii").split()
-        except ValueError:
-            return None
-        length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = min(int(value.strip()), _MAX_BODY)
+            line = await reader.readline()
+            if not line:
+                return None
+            parts = line.decode("ascii").split()
+            if len(parts) != 3:
+                raise ValueError("malformed request line")
+            method, path, _version = parts
+            length = 0
+            while True:
+                header = await reader.readline()
+                if header in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = header.decode("latin-1").partition(":")
+                if name.strip().lower() == "content-length":
+                    value = value.strip()
+                    if not (value.isascii() and value.isdigit()):
+                        raise ValueError(f"invalid Content-Length {value!r}")
+                    length = int(value)
+        except ValueError as exc:
+            raise _BadRequest("400 Bad Request", str(exc)) from None
+        if length > _MAX_BODY:
+            raise _BadRequest("413 Payload Too Large", f"body exceeds {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""
         return method, path, body
 
@@ -252,36 +269,36 @@ class SchedulerService:
 
     def _submit_one(self, body: bytes) -> Tuple[str, bytes]:
         try:
-            spec = json.loads(body or b"{}")
-            outcome = self.core.submit(
-                spec["task"], self.clock.now(), demand=spec.get("demand")
-            )
+            task, demand = _submission(json.loads(body or b"{}"))
+            outcome = self.core.submit(task, self.clock.now(), demand=demand)
         except UnknownTaskError as exc:
             return "400 Bad Request", _json({"error": f"unknown task {exc.args[0]!r}"})
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (TypeError, ValueError) as exc:
             return "400 Bad Request", _json({"error": str(exc)})
         self._kick()
         status = "200 OK" if outcome.accepted else "429 Too Many Requests"
         return status, _json(outcome.to_dict())
 
     def _submit_batch(self, body: bytes) -> Tuple[str, bytes]:
+        """All-or-nothing on shape: every element is validated before
+        any is submitted, so a malformed element rejects the whole batch
+        with nothing admitted.  Unknown task names are per-item errors."""
         try:
             specs = json.loads(body or b"[]")
             if not isinstance(specs, list):
                 raise ValueError("batch body must be a JSON array")
-            verdicts = []
-            for spec in specs:
-                try:
-                    outcome = self.core.submit(
-                        spec["task"], self.clock.now(), demand=spec.get("demand")
-                    )
-                    verdicts.append(outcome.to_dict())
-                except UnknownTaskError as exc:
-                    verdicts.append(
-                        {"status": "error", "reason": f"unknown task {exc.args[0]!r}"}
-                    )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            submissions = [_submission(spec) for spec in specs]
+        except (TypeError, ValueError) as exc:
             return "400 Bad Request", _json({"error": str(exc)})
+        verdicts = []
+        for task, demand in submissions:
+            try:
+                outcome = self.core.submit(task, self.clock.now(), demand=demand)
+                verdicts.append(outcome.to_dict())
+            except UnknownTaskError as exc:
+                verdicts.append(
+                    {"status": "error", "reason": f"unknown task {exc.args[0]!r}"}
+                )
         self._kick()
         return "200 OK", _json(verdicts)
 
@@ -308,6 +325,39 @@ class SchedulerService:
         out["clock_rate"] = getattr(self.clock, "rate", 1.0)
         out["drift"] = self.clock.drift.summary()
         return out
+
+
+class _BadRequest(Exception):
+    """A request the front-end answers with ``status`` and then closes."""
+
+    def __init__(self, status: str, reason: str):
+        super().__init__(reason)
+        self.status = status
+
+
+def _response(status: str, payload: bytes, ndjson: bool = False, close: bool = False) -> bytes:
+    return (
+        f"HTTP/1.1 {status}\r\n"
+        "Content-Type: "
+        f"{'application/x-ndjson' if ndjson else 'application/json'}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
+    ).encode() + payload
+
+
+def _submission(spec: object) -> Tuple[str, Optional[float]]:
+    """Validate one submission ``{"task": name, "demand": Mcycles?}``.
+
+    Raises ``TypeError``/``ValueError`` on a malformed shape; whether
+    the task exists is the core's call (:class:`UnknownTaskError`).
+    """
+    if not isinstance(spec, dict):
+        raise TypeError(f"submission must be a JSON object, got {type(spec).__name__}")
+    task = spec.get("task")
+    if not isinstance(task, str):
+        raise ValueError('submission needs a "task" name')
+    demand = spec.get("demand")
+    return task, float(demand) if demand is not None else None
 
 
 def _json(payload: object) -> bytes:

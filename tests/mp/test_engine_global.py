@@ -132,3 +132,19 @@ def test_events_carry_core_field(platform2):
     cores = {e.fields["core"] for e in dispatches}
     assert cores <= {0, 1}
     assert 0 in cores
+
+
+def test_global_run_records_engine_phase_spans(platform2):
+    """Global mode runs the engine's own event loop, so a SpanTracer
+    sees the same engine.run phase tree as a uniprocessor run."""
+    from repro.obs import Observer, build_phase_report
+
+    obs = Observer(events=False, metrics=False, spans=True)
+    simulate_global(_trace(load=0.8), "EUA*", platform2, observer=obs)
+    assert obs.spans.open_depth == 0
+    paths = {s.path for s in obs.spans.spans}
+    assert "engine.run" in paths
+    for phase in ("release", "expiry", "snapshot", "decide", "advance", "complete"):
+        assert f"engine.run/engine.{phase}" in paths
+    report = build_phase_report(obs.spans)
+    assert report.coverage() == pytest.approx(1.0, abs=0.10)

@@ -2,8 +2,9 @@
 to the uniprocessor engine at one core.
 
 Partitioned mode literally runs the uniprocessor ``Engine`` on the
-single core; global mode mirrors ``Engine._run_loop`` operation for
-operation, so at m=1 its float stream must coincide exactly.  The
+single core; global mode runs the same ``Engine`` event loop over a
+one-element core list, whose dispatch step is then a single ``decide``
+call, so at m=1 its float stream must coincide exactly.  The
 comparison covers the full structured event log (modulo the mp-only
 ``core`` field) and the energy/utility aggregates with ``==`` — any
 tolerance here would let the engines drift apart silently.

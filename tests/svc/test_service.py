@@ -194,6 +194,82 @@ def test_shutdown_endpoint_stops_serve_until_shutdown():
     asyncio.run(scenario())
 
 
+def test_shutdown_returns_while_a_job_executes():
+    """A job that will not finish for ages keeps the executor in a long
+    timed wait; the shutdown kick and stop()'s cancel then land in the
+    same loop turn, and the executor must still exit."""
+    async def scenario():
+        service = SchedulerService(ServiceCore(_taskset()),
+                                   clock=WallClock(rate=1e-6))
+        await service.start()
+        server_task = asyncio.create_task(service.serve_until_shutdown())
+        conn = _Connection(service.host, service.port)
+        await conn.open()
+        name = service.core.taskset[0].name
+        status, _ = await conn.request("POST", "/jobs", {"task": name, "demand": 1e9})
+        assert status == 200
+        await asyncio.sleep(0.05)  # the executor dispatches and waits
+        assert service.core.ready
+        status, _ = await conn.request("POST", "/shutdown")
+        assert status == 200
+        # asyncio.wait, not wait_for: a timeout must not cancel the task,
+        # since stop() absorbs that cancel and would then return anyway.
+        done, _ = await asyncio.wait({server_task}, timeout=5.0)
+        if not done:  # leave nothing running behind a failure
+            service._executor.cancel()
+            await server_task
+        await conn.close()
+        assert server_task in done, "serve_until_shutdown() hung after POST /shutdown"
+
+    asyncio.run(scenario())
+
+
+async def _raw_exchange(service, raw: bytes) -> bytes:
+    """Send ``raw`` on a fresh socket and read until the server closes."""
+    reader, writer = await asyncio.open_connection(service.host, service.port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=5.0)
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize("raw, status", [
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n{}", b"413"),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}", b"400"),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}", b"400"),
+    (b"GARBAGE\r\n\r\n", b"400"),
+])
+def test_malformed_requests_are_answered_and_closed(raw, status):
+    async def scenario(service, conn):
+        # A trailing second request must not be parsed: the server
+        # answers the bad one and closes (reader.read() sees EOF).
+        reply = await _raw_exchange(service, raw + b"GET /healthz HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 " + status)
+        assert reply.count(b"HTTP/1.1") == 1
+        assert b"Connection: close" in reply
+        assert "error" in json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        # The service itself is unharmed.
+        status_ok, _ = await conn.request("GET", "/healthz")
+        assert status_ok == 200
+
+    asyncio.run(_with_service(scenario))
+
+
+def test_batch_with_malformed_element_admits_nothing():
+    async def scenario(service, conn):
+        name = service.core.taskset[0].name
+        for bad in ({}, 7, {"task": name, "demand": "lots"}):
+            status, body = await conn.request("POST", "/jobs/batch", [{"task": name}, bad])
+            assert status == 400
+            assert "error" in json.loads(body)
+        _, body = await conn.request("GET", "/stats")
+        assert json.loads(body)["submitted"] == 0
+
+    asyncio.run(_with_service(scenario))
+
+
 # ----------------------------------------------------------------------
 # Load-replay harness
 # ----------------------------------------------------------------------
