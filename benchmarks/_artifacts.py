@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, Mapping, Optional
@@ -33,6 +34,26 @@ def _usable_cpus() -> Optional[int]:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # non-Linux or restricted
         return os.cpu_count()
+
+
+def _git_state() -> Dict[str, object]:
+    """``git_sha`` of the checkout and ``git_dirty`` (tracked files
+    differ from it), or nothing when git or the repository is
+    unavailable."""
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True,
+            check=True, timeout=10,
+        ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    except (OSError, subprocess.SubprocessError):
+        return {}
+    return {"git_sha": sha, "git_dirty": dirty}
 
 
 def artifacts_dir() -> Path:
@@ -63,7 +84,8 @@ def write_bench_artifact(
     Every artifact's ``meta`` records core-count provenance
     (``cpu_count`` = machine, ``usable_cpus`` = affinity-restricted)
     so throughput/speedup numbers can be read against the hardware
-    that produced them.
+    that produced them, and the source revision (``git_sha``,
+    ``git_dirty``) when git can report it.
     """
     directions = dict(directions or {})
     for key, direction in directions.items():
@@ -79,6 +101,7 @@ def write_bench_artifact(
             "platform": sys.platform,
             "cpu_count": os.cpu_count(),
             "usable_cpus": _usable_cpus(),
+            **_git_state(),
         },
     }
     path = artifacts_dir() / f"BENCH_{name}.json"

@@ -14,7 +14,7 @@ Subcommands regenerate the paper's evaluation from a terminal::
     repro-eua bound --load 0.6
     repro-eua ablate dvs|fopt|dvs-method|dasa
     repro-eua trace --load 0.8 --jsonl
-    repro-eua obs --load 0.8 --repeats 3 [--spans] [--dashboard obs.svg]
+    repro-eua obs --load 0.8 --repeats 3 [--dashboard obs.svg]
     repro-eua stats --load 0.8 -n 200 --workers 4 [--early-stop] [--cache-dir .stats-cache]
     repro-eua profile --load 0.8 -n 16 --workers 4 [--dashboard profile.svg]
     repro-eua check --scheduler "EUA*" --load 0.8
@@ -521,35 +521,30 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from .obs import MetricsRegistry, Observer, Profiler, SpanTracer, build_phase_report
+    from .obs import MetricsRegistry, Observer, SpanTracer, build_phase_report
     from .experiments import render_obs_summary
 
-    spans = bool(args.spans or args.dashboard)
     merged = MetricsRegistry()
-    pooled = Profiler()
-    tracer = SpanTracer() if spans else None
+    tracer = SpanTracer()
     base_seed = args.seed
     for rep in range(args.repeats):
-        observer = Observer(events=False, metrics=True, profiling=True, spans=spans)
+        observer = Observer(events=False, metrics=True, spans=True)
         args.seed = base_seed + rep
         _traced_run(args, observer)
         merged.merge(observer.metrics)
-        pooled.merge(observer.profiler)
-        if tracer is not None:
-            tracer.merge(observer.spans)
+        tracer.merge(observer.spans)
     args.seed = base_seed
     print(f"scheduler={args.scheduler} load={args.load} horizon={args.horizon}s "
           f"repeats={args.repeats}")
-    print(render_obs_summary(merged, pooled))
-    if tracer is not None:
-        report = build_phase_report(tracer, profiler=pooled)
-        print()
-        print(report.render())
-        if args.dashboard:
-            from .viz import render_phase_report
+    print(render_obs_summary(merged))
+    report = build_phase_report(tracer)
+    print()
+    print(report.render())
+    if args.dashboard:
+        from .viz import render_phase_report
 
-            render_phase_report(report, args.dashboard)
-            print(f"wrote {args.dashboard}")
+        render_phase_report(report, args.dashboard)
+        print(f"wrote {args.dashboard}")
     return 0
 
 
@@ -957,18 +952,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "legacy four modes")
     pfz.set_defaults(func=_cmd_fuzz)
 
-    def span_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--spans", action="store_true",
-                       help="trace phase spans and print the PhaseReport table")
+    def dashboard_opt(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dashboard",
-                       help="write the SVG time-attribution dashboard to this "
-                            "path (implies --spans)")
+                       help="write the SVG time-attribution dashboard to this path")
 
-    pob = sub.add_parser("obs", help="run with metrics + profiling and summarise")
+    pob = sub.add_parser("obs", help="run with metrics + phase spans and summarise")
     obs_common(pob)
     pob.add_argument("--repeats", type=int, default=1,
                      help="repetitions merged into one registry (seed, seed+1, ...)")
-    span_opts(pob)
+    dashboard_opt(pob)
     pob.set_defaults(func=_cmd_obs)
 
     pst = sub.add_parser(
@@ -1013,7 +1005,10 @@ def build_parser() -> argparse.ArgumentParser:
     pst.add_argument("--cache-dir",
                      help="content-addressed run cache; re-runs load hits "
                           "instead of re-simulating")
-    span_opts(pst)
+    pst.add_argument("--spans", action="store_true",
+                     help="trace phase spans and print the PhaseReport table "
+                          "(also implied by --dashboard)")
+    dashboard_opt(pst)
     workers_opt(pst)
     chunk_opt(pst)
     pst.set_defaults(func=_cmd_stats)
@@ -1089,8 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "cache hit rate)")
     ppr.add_argument("--jsonl-out",
                      help="write the PhaseReport as versioned JSONL to this path")
-    ppr.add_argument("--dashboard",
-                     help="write the SVG time-attribution dashboard to this path")
+    dashboard_opt(ppr)
     workers_opt(ppr)
     chunk_opt(ppr)
     ppr.set_defaults(func=_cmd_profile)

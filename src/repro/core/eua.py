@@ -33,7 +33,6 @@ infeasible jobs to expire on their own.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import EventKind
@@ -132,8 +131,10 @@ class EUAStar(Scheduler):
         f_m = view.scale.f_max
         model = view.energy_model
         obs = self.observer
-        profiling = obs is not None and obs.profiler is not None
-        t0 = perf_counter() if profiling else 0.0
+        # Span tracing: hoisted once per decide, like the engine's spans.
+        sp = obs.spans if obs is not None else None
+        if sp is not None:
+            sp.enter("core.eua_construct")
 
         aborts: List[Job] = []
         ranked: List[Tuple[float, float, Job]] = []
@@ -154,18 +155,18 @@ class EUAStar(Scheduler):
         ranked.sort(key=lambda e: (-e[0], e[1], e[2].release, e[2].index))
 
         if self.incremental:
-            head = self._build_sigma_incremental(ranked, t, f_m, obs, profiling)
+            head = self._build_sigma_incremental(ranked, t, f_m, obs, sp)
         else:
-            head = self._build_sigma_reference(ranked, t, f_m, obs, profiling)
-        if profiling:
-            obs.record(f"{self.name}.construct", perf_counter() - t0)
+            head = self._build_sigma_reference(ranked, t, f_m, obs, sp)
+        if sp is not None:
+            sp.exit()  # core.eua_construct
 
         if head is None:
             return Decision(job=None, frequency=f_m, aborts=tuple(aborts))
         if self.use_dvs and view.dvs:
             working_view = view.without(aborts) if aborts else view
-            if profiling:
-                t1 = perf_counter()
+            if sp is not None:
+                sp.enter("core.eua_decide_freq")
             f_exe = decide_freq(
                 working_view,
                 head,
@@ -175,8 +176,8 @@ class EUAStar(Scheduler):
                 observer=obs,
                 source=self.name,
             )
-            if profiling:
-                obs.record("decide_freq", perf_counter() - t1)
+            if sp is not None:
+                sp.exit()  # core.eua_decide_freq
         else:
             f_exe = f_m
         return Decision(job=head, frequency=f_exe, aborts=tuple(aborts))
@@ -210,7 +211,7 @@ class EUAStar(Scheduler):
         t: float,
         f_m: float,
         obs,
-        profiling: bool,
+        sp,
     ) -> Optional[Job]:
         """Lines 12–18 on the :class:`IncrementalSchedule` hot path.
 
@@ -227,10 +228,10 @@ class EUAStar(Scheduler):
                                  reason="nonpositive-uer", uer=m)
                         obs.inc("sigma_rejections", reason="nonpositive-uer")
                 break  # sorted: no later job can have positive UER
-            if profiling:
-                t1 = perf_counter()
+            if sp is not None:
+                sp.enter("core.eua_feasibility")
                 pos = sigma.try_insert(job)
-                obs.record(f"{self.name}.feasibility", perf_counter() - t1)
+                sp.exit()
             else:
                 pos = sigma.try_insert(job)
             if pos >= 0:
@@ -253,7 +254,7 @@ class EUAStar(Scheduler):
         t: float,
         f_m: float,
         obs,
-        profiling: bool,
+        sp,
     ) -> Optional[Job]:
         """Lines 12–18 with the naive copy-and-rewalk feasibility path
         (the differential harness's oracle arm)."""
@@ -267,10 +268,10 @@ class EUAStar(Scheduler):
                         obs.inc("sigma_rejections", reason="nonpositive-uer")
                 break  # sorted: no later job can have positive UER
             tentative = insert_by_critical_time(sigma, job)
-            if profiling:
-                t1 = perf_counter()
+            if sp is not None:
+                sp.enter("core.eua_feasibility")
                 feasible = schedule_feasible(tentative, t, f_m)
-                obs.record(f"{self.name}.feasibility", perf_counter() - t1)
+                sp.exit()
             else:
                 feasible = schedule_feasible(tentative, t, f_m)
             if feasible:

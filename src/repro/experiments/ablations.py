@@ -45,7 +45,6 @@ def run_policy_grid(
     burst_override: Optional[int] = None,
     idle_power: float = 0.0,
     workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> Dict[str, List[SimulationResult]]:
     """Run scheduler arms over shared per-seed workloads.
 
@@ -74,7 +73,7 @@ def run_policy_grid(
             )
             for seed in seeds
         ]
-        outcomes = run_units(units, max_workers=workers, chunksize=chunksize)
+        outcomes = run_units(units, max_workers=workers)
         out: Dict[str, List[SimulationResult]] = {}
         for outcome in outcomes:
             for name, result in outcome.results.items():

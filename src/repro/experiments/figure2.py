@@ -13,7 +13,7 @@ accepts any setting, and a dedicated bench covers E2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.stats import SummaryStat, normalized_series
 from .config import (
@@ -128,7 +128,6 @@ def run_figure2(
     apps=TABLE1,
     f_max: float = 1000.0,
     workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> Figure2Result:
     """Run the Figure 2 experiment for one energy setting.
 
@@ -143,7 +142,7 @@ def run_figure2(
     units = figure2_units(
         energy_setting_name, loads, seeds, horizon, scheduler_names, apps, f_max
     )
-    outcomes = run_units(units, max_workers=workers, chunksize=chunksize)
+    outcomes = run_units(units, max_workers=workers)
     by_load: Dict[float, List[Dict[str, object]]] = {}
     for outcome in outcomes:
         by_load.setdefault(outcome.key[0], []).append(outcome.results)

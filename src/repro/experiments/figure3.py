@@ -15,7 +15,7 @@ arrivals spoil slack estimation (at ϱ=0.5 the paper reads ≈0.26 for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.stats import SummaryStat, summarize
 from ..core import EUAStar
@@ -99,7 +99,6 @@ def run_figure3(
     f_max: float = 1000.0,
     energy_setting_name: str = "E1",
     workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> Figure3Result:
     """Run the Figure 3 experiment.
 
@@ -110,7 +109,7 @@ def run_figure3(
     units = figure3_units(
         bursts, loads, seeds, horizon, apps, f_max, energy_setting_name
     )
-    outcomes = run_units(units, max_workers=workers, chunksize=chunksize)
+    outcomes = run_units(units, max_workers=workers)
     ratios: Dict[Tuple[int, float], List[float]] = {}
     for outcome in outcomes:
         a, load, _ = outcome.key

@@ -21,7 +21,7 @@ Figure 2 frontier (pinned by ``tests/properties/test_mp_equivalence.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.stats import SummaryStat, normalized_series
 from .config import DEFAULT_HORIZON, DEFAULT_SEEDS, FIGURE2_REQUIREMENT, TABLE1
@@ -172,7 +172,6 @@ def run_multicore(
     partition_strategy: str = "wfd",
     active_power: float = 0.0,
     workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> MulticoreResult:
     """Run the multicore frontier sweep for one energy setting.
 
@@ -200,7 +199,7 @@ def run_multicore(
         partition_strategy,
         active_power,
     )
-    outcomes = run_units(units, max_workers=workers, chunksize=chunksize)
+    outcomes = run_units(units, max_workers=workers)
     cells: Dict[Tuple[str, int, float], List] = {}
     for outcome in outcomes:
         mode, m, load, _seed = outcome.key

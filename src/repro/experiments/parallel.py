@@ -26,9 +26,12 @@ Building blocks
     registries across outcomes with :func:`merged_metrics` (merge order
     = unit order = repetition order, matching the serial convention in
     ``docs/observability.md``).
+:func:`run_chunked`
+    The one order-preserving pool driver: ``fn(shared, chunk)`` per
+    contiguous chunk, with the shared payload installed once per worker.
 :func:`run_sweep`
-    The generic order-preserving pool map used by :func:`run_units` and
-    by :func:`repro.sim.runner.compare`'s ``workers`` argument.
+    Its per-item adapter, used by :func:`run_units` and by
+    :func:`repro.sim.runner.compare`'s ``workers`` argument.
 
 ``max_workers=1`` (the default everywhere) never touches
 ``multiprocessing`` — sweeps degrade gracefully to the serial path, and
@@ -69,7 +72,6 @@ __all__ = [
     "run_sweep",
     "run_chunked",
     "merged_metrics",
-    "default_chunksize",
     "auto_chunk_size",
     "usable_cpus",
     "speedup_gate",
@@ -364,12 +366,6 @@ def speedup_gate(
 # ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
-def default_chunksize(n_items: int, max_workers: int) -> int:
-    """Chunk so each worker sees ~4 chunks — large enough to amortise
-    pickling, small enough to keep the pool load-balanced."""
-    return max(1, n_items // (4 * max_workers) or 1)
-
-
 def auto_chunk_size(n_items: int, max_workers: int) -> int:
     """Chunk size for :func:`run_chunked` when the caller does not pin
     one: ~4 chunks per worker (ceiling division, so every item lands in
@@ -392,133 +388,6 @@ def auto_chunk_size(n_items: int, max_workers: int) -> int:
     return max(1, -(-n_items // (4 * max_workers)))
 
 
-class _TracedCall:
-    """Picklable wrapper around the sweep function for traced pools.
-
-    The worker stamps its busy interval with raw ``perf_counter``
-    values — ``CLOCK_MONOTONIC`` is system-wide on Linux, so the main
-    process converts them onto its tracer timeline with
-    :meth:`~repro.obs.SpanTracer.rel` when folding results back in.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[T], R]):
-        self.fn = fn
-
-    def __call__(self, item: T) -> "_TracedOutcome":
-        start = perf_counter()
-        value = self.fn(item)
-        return _TracedOutcome(value, f"pid-{os.getpid()}", start, perf_counter())
-
-
-@dataclass
-class _TracedOutcome:
-    """A sweep result plus the worker busy interval that produced it."""
-
-    value: object
-    worker: str
-    start: float
-    end: float
-
-
-def _run_serial_traced(
-    fn: Callable[[T], R], items: Sequence[T], telemetry: Telemetry
-) -> List[R]:
-    """Serial map with per-item ``pool.execute`` spans.
-
-    In-process execution does *not* overlap the caller, so it belongs in
-    the span tree (charged to the enclosing phase) as well as on the
-    ``main`` worker lane.
-    """
-    tr = telemetry.tracer
-    out: List[R] = []
-    for item in items:
-        t0 = tr.now()
-        with tr.span("pool.execute"):
-            out.append(fn(item))
-        telemetry.interval("main", t0, tr.now())
-        telemetry.count("pool.items")
-    return out
-
-
-def run_sweep(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    max_workers: int = 1,
-    chunksize: Optional[int] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> List[R]:
-    """Order-preserving map of ``fn`` over ``items``.
-
-    ``max_workers <= 1`` runs serially in-process.  Otherwise the items
-    are dispatched in chunks to a process pool; results are returned in
-    input order (deterministic merge).  ``fn`` and every item must be
-    picklable.  If the pool cannot be created — sandboxed environments
-    without working semaphores, for instance — the sweep falls back to
-    the serial path with a warning instead of failing.
-
-    ``telemetry`` (optional) attributes the pipeline's wall-clock:
-    serial execution records per-item ``pool.execute`` spans; pool
-    execution records a ``pool.serialize`` span (explicit pickle probe
-    of the dispatched payload, counted in ``pool.pickled_bytes``), a
-    ``pool.submit``/``pool.fold`` span pair around dispatch and the
-    order-preserving merge, and one busy interval per item on the
-    executing worker's lane.  Results are identical with and without it.
-    """
-    items = list(items)
-    if telemetry is None:
-        if max_workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        if chunksize is None:
-            chunksize = default_chunksize(len(items), max_workers)
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(fn, items, chunksize=chunksize))
-        except (OSError, PermissionError, ImportError) as exc:
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); running sweep serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return [fn(item) for item in items]
-
-    tr = telemetry.tracer
-    if max_workers <= 1 or len(items) <= 1:
-        return _run_serial_traced(fn, items, telemetry)
-    if chunksize is None:
-        chunksize = default_chunksize(len(items), max_workers)
-    with tr.span("pool.serialize"):
-        payload = sum(len(pickle.dumps(item)) for item in items)
-    telemetry.count("pool.pickled_bytes", payload)
-    try:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            with tr.span("pool.submit"):
-                outcomes = pool.map(_TracedCall(fn), items, chunksize=chunksize)
-            out: List[R] = []
-            # The fold span also absorbs time spent *waiting* on workers
-            # — that is honestly what the main process does here, and the
-            # overlapped execution shows up on the worker lanes instead.
-            with tr.span("pool.fold"):
-                for outcome in outcomes:
-                    telemetry.interval(
-                        outcome.worker, tr.rel(outcome.start), tr.rel(outcome.end)
-                    )
-                    telemetry.count("pool.items")
-                    out.append(outcome.value)
-            return out
-    except (OSError, PermissionError, ImportError) as exc:
-        warnings.warn(
-            f"process pool unavailable ({exc!r}); running sweep serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _run_serial_traced(fn, items, telemetry)
-
-
-# ----------------------------------------------------------------------
-# Chunked dispatch with a worker-shared payload
-# ----------------------------------------------------------------------
 #: Worker-global one-shot payload, installed by the pool initializer so
 #: each worker deserialises it exactly once instead of per task.
 _SHARED: object = None
@@ -532,7 +401,10 @@ def _install_shared(payload: object) -> None:
 class _ChunkCall:
     """Picklable chunk executor: applies the batch function to the
     worker-installed shared payload plus one chunk of items, stamping
-    the worker busy interval like :class:`_TracedCall`."""
+    the worker busy interval with raw ``perf_counter`` values
+    (``CLOCK_MONOTONIC`` is system-wide on Linux, so the main process
+    maps them onto its tracer timeline with
+    :meth:`~repro.obs.SpanTracer.rel`)."""
 
     __slots__ = ("fn",)
 
@@ -556,30 +428,6 @@ class _ChunkOutcome:
     end: float
 
 
-def _iter_chunks(items: Sequence[T], chunk_size: int) -> List[Sequence[T]]:
-    return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-
-
-def _run_chunked_serial(
-    fn: Callable[[object, Sequence[T]], R],
-    chunks: Sequence[Sequence[T]],
-    shared: object,
-    telemetry: Optional[Telemetry],
-) -> List[R]:
-    if telemetry is None:
-        return [fn(shared, chunk) for chunk in chunks]
-    tr = telemetry.tracer
-    out: List[R] = []
-    for chunk in chunks:
-        t0 = tr.now()
-        with tr.span("pool.chunk"):
-            out.append(fn(shared, chunk))
-        telemetry.interval("main", t0, tr.now())
-        telemetry.count("pool.chunks")
-        telemetry.count("pool.items", len(chunk))
-    return out
-
-
 def run_chunked(
     fn: Callable[[object, Sequence[T]], R],
     items: Sequence[T],
@@ -590,32 +438,36 @@ def run_chunked(
 ) -> List[R]:
     """Order-preserving chunked map: ``fn(shared, chunk)`` per chunk.
 
-    The batch-dispatch primitive behind
-    :func:`repro.stats.run_campaign`.  ``items`` is split into
-    contiguous chunks (``chunk_size``, or :func:`auto_chunk_size`), and
-    each pool task executes one *chunk* through ``fn`` — so per-task
-    dispatch overhead (pickling, future bookkeeping, result transport)
-    amortises over the whole chunk, and ``fn`` can fold partial
-    aggregates worker-side before anything crosses the process
-    boundary.  The one-shot ``shared`` payload is serialised once per
-    worker via the pool initializer, never per chunk, and ``fn`` must
-    treat it as read-only (worker-side mutations are invisible to other
-    chunks and to the caller).
+    The one pool driver of the package, behind
+    :func:`repro.stats.run_campaign` and (through :func:`run_sweep`)
+    every sweep.  ``items`` is split into contiguous chunks
+    (``chunk_size``, or :func:`auto_chunk_size`), and each pool task
+    executes one *chunk* through ``fn`` — so per-task dispatch overhead
+    (pickling, future bookkeeping, result transport) amortises over the
+    whole chunk, and ``fn`` can fold partial aggregates worker-side
+    before anything crosses the process boundary.  The one-shot
+    ``shared`` payload is serialised once per worker via the pool
+    initializer, never per chunk, and ``fn`` must treat it as read-only
+    (worker-side mutations are invisible to other chunks and to the
+    caller).
 
     Results come back in chunk submission order whatever the worker
     interleaving, so any per-item ordering the caller needs is exactly
     the concatenation order of ``items`` — chunking is an execution
     detail, not an identity.  ``max_workers <= 1`` (or a single chunk)
-    never touches ``multiprocessing``; pool-construction failures fall
-    back to the serial path with a warning, like :func:`run_sweep`.
+    never touches ``multiprocessing``.  If the pool cannot be created —
+    sandboxed environments without working semaphores, for instance —
+    the map falls back to the serial path with a warning instead of
+    failing.
 
     With ``telemetry``, serial execution records one ``pool.chunk``
-    span per chunk; pool execution records ``pool.serialize`` (one
-    probe of the shared payload + every chunk), ``pool.submit`` /
-    ``pool.fold`` spans, one busy interval per chunk on the executing
-    worker's lane, and the ``pool.chunks`` / ``pool.items`` /
-    ``pool.pickled_bytes`` counters.  Results are identical with and
-    without it.
+    span per chunk on the ``main`` lane; pool execution records
+    ``pool.serialize`` (one pickle probe of the shared payload and every
+    chunk), ``pool.submit`` / ``pool.fold`` spans around dispatch and
+    the order-preserving merge, and one busy interval per chunk on the
+    executing worker's lane.  Both paths count ``pool.chunks`` /
+    ``pool.items``; the pool path adds ``pool.pickled_bytes``.  Results
+    are identical with and without it.
     """
     items = list(items)
     if not items:
@@ -624,70 +476,84 @@ def run_chunked(
         chunk_size = auto_chunk_size(len(items), max_workers)
     elif chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
-    chunks = _iter_chunks(items, chunk_size)
-    if max_workers <= 1 or len(chunks) <= 1:
-        return _run_chunked_serial(fn, chunks, shared, telemetry)
+    chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
+    tr = telemetry.tracer if telemetry is not None else None
 
-    if telemetry is None:
+    if max_workers > 1 and len(chunks) > 1:
+        if telemetry is not None:
+            with tr.span("pool.serialize"):
+                payload = len(pickle.dumps(shared)) + sum(len(pickle.dumps(c)) for c in chunks)
+            telemetry.count("pool.pickled_bytes", payload)
         try:
             with ProcessPoolExecutor(
                 max_workers=max_workers,
                 initializer=_install_shared,
                 initargs=(shared,),
             ) as pool:
-                outcomes = pool.map(_ChunkCall(fn), chunks)
-                return [outcome.value for outcome in outcomes]
+                if telemetry is None:
+                    return [outcome.value for outcome in pool.map(_ChunkCall(fn), chunks)]
+                with tr.span("pool.submit"):
+                    outcomes = pool.map(_ChunkCall(fn), chunks)
+                out: List[R] = []
+                # The fold span also absorbs time spent *waiting* on
+                # workers — that is honestly what the main process does
+                # here; the overlapped execution shows on the lanes.
+                with tr.span("pool.fold"):
+                    for outcome in outcomes:
+                        telemetry.interval(
+                            outcome.worker, tr.rel(outcome.start), tr.rel(outcome.end)
+                        )
+                        telemetry.count("pool.chunks")
+                        telemetry.count("pool.items", outcome.n_items)
+                        out.append(outcome.value)
+                return out
         except (OSError, PermissionError, ImportError) as exc:
             warnings.warn(
-                f"process pool unavailable ({exc!r}); running chunked sweep serially",
+                f"process pool unavailable ({exc!r}); running serially",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return _run_chunked_serial(fn, chunks, shared, None)
 
-    tr = telemetry.tracer
-    with tr.span("pool.serialize"):
-        payload = len(pickle.dumps(shared)) + sum(len(pickle.dumps(c)) for c in chunks)
-    telemetry.count("pool.pickled_bytes", payload)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_install_shared,
-            initargs=(shared,),
-        ) as pool:
-            with tr.span("pool.submit"):
-                outcomes = pool.map(_ChunkCall(fn), chunks)
-            out: List[R] = []
-            with tr.span("pool.fold"):
-                for outcome in outcomes:
-                    telemetry.interval(
-                        outcome.worker, tr.rel(outcome.start), tr.rel(outcome.end)
-                    )
-                    telemetry.count("pool.chunks")
-                    telemetry.count("pool.items", outcome.n_items)
-                    out.append(outcome.value)
-            return out
-    except (OSError, PermissionError, ImportError) as exc:
-        warnings.warn(
-            f"process pool unavailable ({exc!r}); running chunked sweep serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _run_chunked_serial(fn, chunks, shared, telemetry)
+    if telemetry is None:
+        return [fn(shared, chunk) for chunk in chunks]
+    # In-process execution does not overlap the caller, so it belongs in
+    # the span tree as well as on the ``main`` lane.
+    out = []
+    for chunk in chunks:
+        t0 = tr.now()
+        with tr.span("pool.chunk"):
+            out.append(fn(shared, chunk))
+        telemetry.interval("main", t0, tr.now())
+        telemetry.count("pool.chunks")
+        telemetry.count("pool.items", len(chunk))
+    return out
 
 
-def run_units(
-    units: Sequence[CompareUnit],
+def _apply_each(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
+    """Chunk function of :func:`run_sweep`: ``fn`` over every item."""
+    return [fn(item) for item in chunk]
+
+
+def run_sweep(
+    fn: Callable[[T], R],
+    items: Sequence[T],
     max_workers: int = 1,
-    chunksize: Optional[int] = None,
-) -> List[CompareOutcome]:
+    telemetry: Optional[Telemetry] = None,
+) -> List[R]:
+    """Order-preserving per-item map: :func:`run_chunked` with ``fn``
+    as the shared payload.  ``fn`` and every item must be picklable."""
+    chunks = run_chunked(_apply_each, items, fn, max_workers, telemetry=telemetry)
+    return [value for chunk in chunks for value in chunk]
+
+
+def run_units(units: Sequence[CompareUnit], max_workers: int = 1) -> List[CompareOutcome]:
     """Run sweep units, serially or on a process pool.
 
     Outcomes are returned in unit order whatever the worker
     interleaving, so downstream aggregation (summary statistics, merged
     metrics registries) is independent of ``max_workers``.
     """
-    return run_sweep(_run_compare_unit, units, max_workers=max_workers, chunksize=chunksize)
+    return run_sweep(_run_compare_unit, units, max_workers=max_workers)
 
 
 def merged_metrics(outcomes: Iterable[CompareOutcome]) -> Dict[str, MetricsRegistry]:

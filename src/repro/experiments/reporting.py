@@ -62,13 +62,11 @@ def series_chart(
     return out.getvalue().rstrip("\n")
 
 
-def render_obs_summary(metrics=None, profiler=None) -> str:
-    """Human-readable summary of an observability capture.
-
-    ``metrics`` is a :class:`repro.obs.MetricsRegistry` (or ``None``),
-    ``profiler`` a :class:`repro.obs.Profiler` (or ``None``).  Sections:
-    per-frequency CPU residency, decision/outcome counters, gauges,
-    histogram percentiles, and hot-path timer latencies.
+def render_obs_summary(metrics=None) -> str:
+    """Human-readable summary of a :class:`repro.obs.MetricsRegistry`
+    (or ``None``).  Sections: per-frequency CPU residency,
+    decision/outcome counters, gauges and histogram percentiles.  Phase
+    timings live in :meth:`repro.obs.PhaseReport.render`.
     """
     out = io.StringIO()
 
@@ -130,27 +128,6 @@ def render_obs_summary(metrics=None, profiler=None) -> str:
                 ["histogram", "labels", "count", "mean", "p50", "p90", "p99", "max"],
             ))
             out.write("\n\n")
-
-    if profiler is not None and len(profiler):
-        rows = []
-        for name, stat in profiler.stats().items():
-            rows.append({
-                "timer": name,
-                "count": int(stat["count"]),
-                "total_ms": stat["total"] * 1e3,
-                "mean_us": stat["mean"] * 1e6,
-                "p50_us": stat["p50"] * 1e6,
-                "p90_us": stat["p90"] * 1e6,
-                "p99_us": stat["p99"] * 1e6,
-                "max_us": stat["max"] * 1e6,
-            })
-        out.write("timers (decideFreq & friends)\n")
-        out.write(ascii_table(
-            rows,
-            ["timer", "count", "total_ms", "mean_us", "p50_us", "p90_us",
-             "p99_us", "max_us"],
-        ))
-        out.write("\n")
 
     text = out.getvalue().rstrip("\n")
     return text if text else "(no observability data captured)"

@@ -14,7 +14,7 @@ merge — values are identical to the serial sweep.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,11 +65,10 @@ def _summarise(outcomes: Sequence[CompareOutcome]) -> Tuple[float, float, float]
 def _grouped(
     units: Sequence[CompareUnit],
     workers: int,
-    chunksize: Optional[int],
 ) -> Dict[object, List[CompareOutcome]]:
     """Run units and group outcomes by ``key[0]`` (the swept setting)."""
     groups: Dict[object, List[CompareOutcome]] = {}
-    for outcome in run_units(units, max_workers=workers, chunksize=chunksize):
+    for outcome in run_units(units, max_workers=workers):
         groups.setdefault(outcome.key[0], []).append(outcome)
     return groups
 
@@ -80,7 +79,6 @@ def sweep_rho(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     horizon: float = DEFAULT_HORIZON,
     workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Assurance level vs energy: stronger ρ ⇒ fatter budgets ⇒ higher
     frequencies.  (The workload keeps significant demand variance so ρ
@@ -102,7 +100,7 @@ def sweep_rho(
         for rho in rhos
         for seed in seeds
     ]
-    groups = _grouped(units, workers, chunksize)
+    groups = _grouped(units, workers)
     rows = []
     for rho in rhos:
         energy, util, attain = _summarise(groups[rho])
@@ -117,7 +115,6 @@ def sweep_taskset_size(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     horizon: float = DEFAULT_HORIZON,
     workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Task-set size at constant load: more, smaller tasks give the
     deferral more interleaving opportunities but cost more scheduling
@@ -145,7 +142,7 @@ def sweep_taskset_size(
         for mult in multipliers
         for seed in seeds
     ]
-    groups = _grouped(units, workers, chunksize)
+    groups = _grouped(units, workers)
     rows = []
     for mult in multipliers:
         energy, util, attain = _summarise(groups[mult])
@@ -164,7 +161,6 @@ def sweep_ladder_granularity(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     horizon: float = DEFAULT_HORIZON,
     workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Frequency-ladder granularity: with only {f_min, f_max} DVS can
     barely modulate; finer ladders approach the continuous optimum.
@@ -184,7 +180,7 @@ def sweep_ladder_granularity(
         for m in level_counts
         for seed in seeds
     ]
-    groups = _grouped(units, workers, chunksize)
+    groups = _grouped(units, workers)
     rows = []
     for m in level_counts:
         energy, util, attain = _summarise(groups[m])

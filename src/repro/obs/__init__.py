@@ -1,6 +1,6 @@
 """Structured observability for the scheduler stack.
 
-Four sinks behind one :class:`Observer` facade:
+Three sinks behind one :class:`Observer` facade:
 
 * :class:`EventLog` — typed scheduler-decision records (releases,
   σ insertions/rejections with UER, aborts, expiries, completions,
@@ -8,12 +8,11 @@ Four sinks behind one :class:`Observer` facade:
   preemptions, frequency switches);
 * :class:`MetricsRegistry` — counters, gauges and histograms
   aggregated per run and mergeable across experiment repetitions;
-* :class:`Profiler` — opt-in ``perf_counter`` timers around the hot
-  paths with percentile reporting;
-* :class:`SpanTracer` — opt-in hierarchical enter/exit spans whose
-  self-time decomposition attributes the wall-clock to phases; they
-  aggregate (with :class:`Telemetry` worker lanes and counters) into a
-  :class:`PhaseReport`.
+* :class:`SpanTracer` — opt-in hierarchical enter/exit spans, from
+  the engine's phases down to σ construction, feasibility probes and
+  ``decideFreq()``, whose self-time decomposition attributes the
+  wall-clock to phases; they aggregate (with :class:`Telemetry` worker
+  lanes and counters) into a :class:`PhaseReport`.
 
 Everything is zero-cost when disabled: producers take an
 ``Optional[Observer]`` (default ``None``) and guard each site with a
@@ -29,13 +28,11 @@ from .jsonl import (
     metrics_to_jsonl,
     phase_report_from_jsonl,
     phase_report_to_jsonl,
-    profile_to_jsonl,
     spans_from_jsonl,
     spans_to_jsonl,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observer import Observer
-from .profiling import Profiler
 from .spans import PhaseStats, Span, SpanTracer
 from .telemetry import (
     PHASE_REPORT_VERSION,
@@ -56,7 +53,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Observer",
-    "Profiler",
     "Span",
     "SpanTracer",
     "PhaseStats",
@@ -71,7 +67,6 @@ __all__ = [
     "events_from_jsonl",
     "metrics_to_jsonl",
     "metrics_from_jsonl",
-    "profile_to_jsonl",
     "spans_to_jsonl",
     "spans_from_jsonl",
     "phase_report_to_jsonl",

@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List
 
 from .events import Event, EventKind, EventLog
 from .metrics import Histogram, MetricsRegistry
-from .profiling import Profiler
 from .spans import Span, SpanTracer
 from .telemetry import PHASE_REPORT_VERSION, PhaseReport
 
@@ -24,7 +23,6 @@ __all__ = [
     "events_from_jsonl",
     "metrics_to_jsonl",
     "metrics_from_jsonl",
-    "profile_to_jsonl",
     "spans_to_jsonl",
     "spans_from_jsonl",
     "phase_report_to_jsonl",
@@ -119,18 +117,6 @@ def metrics_from_jsonl(text: str) -> MetricsRegistry:
         else:
             raise ValueError(f"line {lineno}: unknown instrument type {kind!r}")
     return registry
-
-
-# ----------------------------------------------------------------------
-# Profiles (export only — a profile is a plain histogram family)
-# ----------------------------------------------------------------------
-def profile_to_jsonl(profiler: Profiler) -> str:
-    """Serialise timer distributions, one timer per line."""
-    lines = [
-        json.dumps({"type": "timer", "name": name, "samples": hist.samples})
-        for name, hist in sorted(profiler.timers.items())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ----------------------------------------------------------------------

@@ -76,8 +76,8 @@ class Histogram:
     Keeps raw samples (simulation runs produce thousands, not billions);
     quantiles use the **nearest-rank** method on a lazily sorted copy —
     see :meth:`percentile` for the exact contract, which
-    ``Profiler.stats()`` and :class:`~repro.obs.telemetry.PhaseReport`
-    both inherit.
+    :class:`~repro.obs.spans.SpanTracer` and
+    :class:`~repro.obs.telemetry.PhaseReport` both inherit.
     """
 
     __slots__ = ("samples", "_sorted")

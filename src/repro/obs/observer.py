@@ -7,12 +7,15 @@ an observer attached, each sink can still be enabled independently:
 
 * ``events``  — the structured decision log (:class:`EventLog`),
 * ``metrics`` — the counters/gauges/histograms registry,
-* ``profiling`` — wall-clock timers over the hot paths (off by
-  default: timestamping costs real time even when cheap).
+* ``spans`` — hierarchical wall-clock spans (:class:`SpanTracer`) from
+  the engine phases down to σ construction, feasibility probes and
+  ``decideFreq()`` (off by default: timestamping costs real time even
+  when cheap).
 
 The guarded helpers (:meth:`emit`, :meth:`inc`, :meth:`set_gauge`,
-:meth:`observe`, :meth:`record`) no-op when their sink is disabled, so
-call sites stay one line.
+:meth:`observe`) no-op when their sink is disabled, so call sites stay
+one line.  Span sites hoist ``obs.spans`` into a local once per call
+and branch on ``is not None``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Optional
 
 from .events import EventKind, EventLog, FieldValue
 from .metrics import MetricsRegistry
-from .profiling import Profiler
 from .spans import SpanTracer
 
 __all__ = ["Observer"]
@@ -30,18 +32,16 @@ __all__ = ["Observer"]
 class Observer:
     """Bundle of the observability sinks a run writes to."""
 
-    __slots__ = ("events", "metrics", "profiler", "spans")
+    __slots__ = ("events", "metrics", "spans")
 
     def __init__(
         self,
         events: bool = True,
         metrics: bool = True,
-        profiling: bool = False,
         spans: bool = False,
     ):
         self.events: Optional[EventLog] = EventLog() if events else None
         self.metrics: Optional[MetricsRegistry] = MetricsRegistry() if metrics else None
-        self.profiler: Optional[Profiler] = Profiler() if profiling else None
         self.spans: Optional[SpanTracer] = SpanTracer() if spans else None
 
     # ------------------------------------------------------------------
@@ -70,28 +70,12 @@ class Observer:
         if self.metrics is not None:
             self.metrics.histogram(name, **labels).observe(value)
 
-    def record(self, name: str, seconds: float) -> None:
-        if self.profiler is not None:
-            self.profiler.record(name, seconds)
-
-    # ------------------------------------------------------------------
-    @property
-    def profiling(self) -> bool:
-        """True when timers are live (hoist this into hot loops)."""
-        return self.profiler is not None
-
-    @property
-    def tracing(self) -> bool:
-        """True when span tracing is live (hoist this into hot loops)."""
-        return self.spans is not None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         on = [
             name
             for name, sink in (
                 ("events", self.events),
                 ("metrics", self.metrics),
-                ("profiling", self.profiler),
                 ("spans", self.spans),
             )
             if sink is not None

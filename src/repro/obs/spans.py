@@ -1,19 +1,20 @@
 """Hierarchical span tracing: where did the wall-clock actually go?
 
-The :class:`~repro.obs.profiling.Profiler` answers "how long does one
-section take" as a latency distribution; a :class:`SpanTracer` answers
-the attribution question — *which phase owns each second of a run* —
-by recording **nested** enter/exit spans and splitting every span's
-duration into *self* time (spent in the phase itself) and *cumulative*
-time (phase plus its children).  Summed over a trace, the self times of
-all spans tile the root span's duration exactly, which is what lets a
+A :class:`SpanTracer` answers the attribution question — *which phase
+owns each second of a run* — by recording **nested** enter/exit spans
+and splitting every span's duration into *self* time (spent in the
+phase itself) and *cumulative* time (phase plus its children).  Summed
+over a trace, the self times of all spans tile the root spans'
+durations exactly, which is what lets a
 :class:`~repro.obs.telemetry.PhaseReport` check that its per-phase
-accounting covers the measured wall-clock.
+accounting covers the measured wall-clock.  Per-path aggregates
+(:meth:`SpanTracer.aggregate`) also give each phase's latency
+distribution, so the same spans answer "how long does one σ
+construction take" (p50/p99 per path).
 
-Producers follow the same zero-cost contract as the profiler: they hold
-an ``Optional[SpanTracer]`` and hoist the ``is not None`` check out of
-hot loops into a local boolean, so a detached tracer costs one
-predictable branch per site and changes nothing else
+Producers hold an ``Optional[SpanTracer]`` and hoist the ``is not
+None`` check out of hot loops into a local, so a detached tracer costs
+one predictable branch per site and changes nothing else
 (``benchmarks/bench_obs_overhead.py`` bounds the disabled cost and the
 golden-trace suite pins the zero-behaviour half of the contract).
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from .metrics import Histogram
 
@@ -130,42 +131,6 @@ class SpanTracer:
             yield
         finally:
             self.exit()
-
-    def add(
-        self,
-        name: str,
-        duration: float,
-        start: Optional[float] = None,
-        charge: bool = True,
-    ) -> None:
-        """Record an externally measured phase as a child of the current
-        open span.
-
-        ``start`` is in timeline coordinates (defaults to now minus the
-        duration).  With ``charge=True`` the duration counts against the
-        enclosing span's self time, exactly as if the work had run here
-        — the serial pool path uses this.  ``charge=False`` records the
-        phase for its statistics only (work that overlapped this
-        process, e.g. a pool worker's execution), leaving the enclosing
-        span's self-time decomposition intact.
-        """
-        if charge and self._stack:
-            self._stack[-1][2] += duration
-        if start is None:
-            start = self.now() - duration
-        path = "/".join([frame[0] for frame in self._stack] + [name])
-        self.spans.append(
-            Span(
-                seq=len(self.spans),
-                path=path,
-                name=name,
-                depth=len(self._stack),
-                start=start,
-                duration=duration,
-                self_time=duration,
-                worker=self.worker,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Aggregation

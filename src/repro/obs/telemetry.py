@@ -14,7 +14,7 @@ count/total/self/p50/p99 rows, per-worker utilisation lanes, reps/sec
 and cache hit rate — with a stable, versioned JSONL wire format (see
 :mod:`repro.obs.jsonl`) and an exact accounting check
 (:meth:`PhaseReport.coverage`): the phase self-times of the span tree
-tile the root span, so their sum over a fully traced run must land
+tile the root spans, so their sum over a fully traced run must land
 within a few percent of the measured wall-clock.
 
 Worker execution time deliberately lives in the lanes, *not* the phase
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .events import EventKind, EventLog
-from .profiling import Profiler
 from .spans import SpanTracer
 
 __all__ = [
@@ -122,11 +121,10 @@ class PhaseReport:
     """Phase-attributed time accounting for one traced run.
 
     ``phases`` carries the main-process span tree (paths are
-    slash-joined, e.g. ``campaign/campaign.simulate/pool.fold``) plus —
-    when a profiler rode along — flat ``timers/<name>`` rows for the
-    scheduler's hot-section timers (construct / feasibility /
-    decide_freq).  Timer rows and worker lanes measure work that
-    *overlaps* the span tree, so :meth:`coverage` sums only tree rows.
+    slash-joined, e.g. ``campaign/campaign.simulate/pool.fold`` or
+    ``engine.run/engine.decide/core.eua_construct/core.eua_feasibility``).
+    Worker lanes measure work that *overlaps* the tree, so
+    :meth:`coverage` sums phase self-times only.
     """
 
     version: int = PHASE_REPORT_VERSION
@@ -138,12 +136,8 @@ class PhaseReport:
     cache_hit_rate: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def tree_rows(self) -> List[PhaseRow]:
-        """Phase rows that belong to the span tree (not overlap rows)."""
-        return [r for r in self.phases if not r.phase.startswith("timers/")]
-
     def self_time_total(self) -> float:
-        return sum(r.self_time for r in self.tree_rows())
+        return sum(r.self_time for r in self.phases)
 
     def coverage(self) -> float:
         """Fraction of the wall-clock the span tree accounts for."""
@@ -298,15 +292,13 @@ class PhaseReport:
 # ----------------------------------------------------------------------
 def build_phase_report(
     source: Union[Telemetry, SpanTracer],
-    profiler: Optional[Profiler] = None,
     wall_clock: Optional[float] = None,
 ) -> PhaseReport:
     """Aggregate a telemetry capture (or a bare tracer) into a report.
 
-    ``wall_clock`` defaults to the duration of the longest recorded
-    span — the root of a fully traced run.  ``profiler`` folds hot-path
-    timers in as ``timers/<name>`` rows (informational: they overlap
-    the span tree and are excluded from :meth:`PhaseReport.coverage`).
+    ``wall_clock`` defaults to the summed duration of the root
+    (depth-0) spans: the one root of a fully traced run, or every run's
+    root in a tracer merged from several runs.
     """
     if isinstance(source, SpanTracer):
         telemetry = Telemetry(tracer=source)
@@ -321,18 +313,8 @@ def build_phase_report(
         )
         for stats in tracer.aggregate().values()
     ]
-    if profiler is not None:
-        for name, stat in profiler.stats().items():
-            phases.append(
-                PhaseRow(
-                    phase=f"timers/{name}", count=int(stat["count"]),
-                    total=stat["total"], self_time=stat["total"],
-                    p50=stat["p50"], p99=stat["p99"],
-                )
-            )
-
     if wall_clock is None:
-        wall_clock = max((s.duration for s in tracer.spans), default=0.0)
+        wall_clock = sum(s.duration for s in tracer.spans if s.depth == 0)
 
     lanes: List[WorkerLane] = []
     by_worker: Dict[str, List[WorkerInterval]] = {}

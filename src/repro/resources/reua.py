@@ -21,7 +21,6 @@ it post hoc from the trace.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.decide_freq import decide_freq
@@ -92,8 +91,9 @@ class REUA(Scheduler):
         f_m = view.scale.f_max
         model = view.energy_model
         obs = self.observer
-        profiling = obs is not None and obs.profiler is not None
-        t0 = perf_counter() if profiling else 0.0
+        sp = obs.spans if obs is not None else None
+        if sp is not None:
+            sp.enter("resources.reua_construct")
 
         aborts: List[Job] = []
         ranked: List[Tuple[float, Job]] = []
@@ -137,8 +137,8 @@ class REUA(Scheduler):
                 obs.emit(t, EventKind.REJECT, job.key, source=self.name,
                          reason="chain-infeasible", uer=uer)
                 obs.inc("sigma_rejections", reason="chain-infeasible")
-        if profiling:
-            obs.record(f"{self.name}.construct", perf_counter() - t0)
+        if sp is not None:
+            sp.exit()  # resources.reua_construct
 
         if not sigma:
             return Decision(job=None, frequency=f_m, aborts=tuple(aborts))
@@ -164,15 +164,15 @@ class REUA(Scheduler):
                 obs.inc("inherited_dispatches")
 
         if self.use_dvs and view.dvs:
-            if profiling:
-                t1 = perf_counter()
+            if sp is not None:
+                sp.enter("resources.reua_decide_freq")
             f_exe = decide_freq(
                 working, exec_job, self._params,
                 use_fopt_bound=self.use_fopt_bound, method=self.dvs_method,
                 observer=obs, source=self.name,
             )
-            if profiling:
-                obs.record("decide_freq", perf_counter() - t1)
+            if sp is not None:
+                sp.exit()  # resources.reua_decide_freq
         else:
             f_exe = f_m
         return Decision(job=exec_job, frequency=f_exe, aborts=tuple(aborts))

@@ -22,7 +22,6 @@ ordering, decideFreq, f°), not to utility accrual itself.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import List, Optional, Tuple
 
 from ..core.feasibility import insert_by_critical_time, job_feasible, schedule_feasible
@@ -64,8 +63,9 @@ class DASA(Scheduler):
         f_max = view.scale.f_max
 
         obs = self.observer
-        profiling = obs is not None and obs.profiler is not None
-        t0 = perf_counter() if profiling else 0.0
+        sp = obs.spans if obs is not None else None
+        if sp is not None:
+            sp.enter("sched.dasa_construct")
 
         aborts: List[Job] = []
         ranked: List[Tuple[float, float, Job]] = []
@@ -101,8 +101,8 @@ class DASA(Scheduler):
                 obs.emit(t, EventKind.REJECT, job.key, source=self.name,
                          reason="insertion-infeasible", pud=pud)
                 obs.inc("sigma_rejections", reason="insertion-infeasible")
-        if profiling:
-            obs.record(f"{self.name}.construct", perf_counter() - t0)
+        if sp is not None:
+            sp.exit()  # sched.dasa_construct
 
         head = sigma[0] if sigma else None
         return Decision(job=head, frequency=f, aborts=tuple(aborts))

@@ -43,7 +43,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cpu import EnergyModel, FrequencyScale, Processor, ProcessorStats
@@ -162,22 +161,21 @@ class _CoreObserver:
     """Observer proxy that stamps every event with its core index.
 
     Duck-types the :class:`~repro.obs.Observer` surface the engine and
-    schedulers touch (``emit``/``inc``/``set_gauge``/``observe``/
-    ``record`` plus the ``events``/``metrics``/``profiler``/``spans``
-    attributes).  All sinks are *shared* with the wrapped observer —
-    only ``emit`` is intercepted, to inject ``core=k`` into the event's
-    field dict.  Metric label cardinality is left untouched so m=1 runs
-    aggregate identically to uniprocessor ones.
+    schedulers touch (``emit``/``inc``/``set_gauge``/``observe`` plus
+    the ``events``/``metrics``/``spans`` attributes).  All sinks are
+    *shared* with the wrapped observer — only ``emit`` is intercepted,
+    to inject ``core=k`` into the event's field dict.  Metric label
+    cardinality is left untouched so m=1 runs aggregate identically to
+    uniprocessor ones.
     """
 
-    __slots__ = ("_obs", "core", "events", "metrics", "profiler", "spans")
+    __slots__ = ("_obs", "core", "events", "metrics", "spans")
 
     def __init__(self, obs: Observer, core: int):
         self._obs = obs
         self.core = core
         self.events = obs.events
         self.metrics = obs.metrics
-        self.profiler = obs.profiler
         self.spans = obs.spans
 
     def emit(self, time, kind, job=None, source="engine", **fields) -> None:
@@ -192,17 +190,6 @@ class _CoreObserver:
 
     def observe(self, name, value, **labels) -> None:
         self._obs.observe(name, value, **labels)
-
-    def record(self, name, seconds) -> None:
-        self._obs.record(name, seconds)
-
-    @property
-    def profiling(self) -> bool:
-        return self.profiler is not None
-
-    @property
-    def tracing(self) -> bool:
-        return self.spans is not None
 
 
 @dataclass
@@ -359,9 +346,8 @@ class Engine:
         obs = self.observer
         if obs is not None:
             scheduler.bind_observer(obs)
-        profiling = obs is not None and obs.profiler is not None
-        # Span tracing: `tracing` is hoisted exactly like `profiling`,
-        # so a detached tracer costs one predictable branch per phase.
+        # Span tracing: `tracing` is hoisted once, so a detached tracer
+        # costs one predictable branch per phase.
         sp = obs.spans if obs is not None else None
         tracing = sp is not None
 
@@ -523,12 +509,7 @@ class Engine:
             for slot in core_ids:
                 if tracing:
                     sp.enter("engine.decide")
-                if profiling:
-                    t0 = perf_counter()
-                    decision = scheduler.decide(working)
-                    obs.record("engine.decide", perf_counter() - t0)
-                else:
-                    decision = scheduler.decide(working)
+                decision = scheduler.decide(working)
                 if tracing:
                     sp.exit()  # engine.decide
                 if ck is not None:

@@ -101,7 +101,7 @@ def simulate(
     (reproducible, comparable across schedulers) or a :class:`TaskSet`
     plus ``horizon`` (materialised here from ``rng``/``seed``).
     ``observer`` attaches an observability sink (event log, metrics,
-    profiling) to both the engine and the scheduler; ``None`` keeps the
+    spans) to both the engine and the scheduler; ``None`` keeps the
     run instrumentation-free.  ``runtime`` attaches an
     :class:`~repro.runtime.AdaptiveRuntime` (online re-allocation, UAM
     enforcement, admission control); it is single-use — pass a fresh

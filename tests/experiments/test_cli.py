@@ -176,18 +176,26 @@ class TestProfileAndSpans:
         assert rc == 0
         assert target.exists()
 
-    def test_obs_spans_flag_appends_report(self, capsys):
-        rc = main(["obs", "--load", "0.4", "--horizon", "0.5", "--spans"])
+    def test_obs_prints_phase_table(self, capsys):
+        rc = main(["obs", "--load", "0.4", "--horizon", "0.5", "--repeats", "2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "decide_freq" in out  # profiler summary still there
-        assert "engine.run" in out   # plus the span phase table
+        assert "counters" in out  # the metrics summary
+        assert "phase table" in out
+        # The table reaches inside engine.decide, indented per level.
+        assert "\n  engine.decide " in out
+        assert "\n    core.eua_construct " in out
+        assert "\n      core.eua_feasibility " in out
+        assert "\n    core.eua_decide_freq " in out
+        assert "phase self-times cover 100.0%" in out
 
-    def test_obs_without_spans_unchanged(self, capsys):
-        rc = main(["obs", "--load", "0.4", "--horizon", "0.5"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "engine.run" not in out
+    def test_obs_has_no_spans_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["obs", "--spans"])
+        target = tmp_path / "obs.svg"
+        assert main(["obs", "--load", "0.4", "--horizon", "0.5",
+                     "--dashboard", str(target)]) == 0
+        assert target.exists()
 
 
 class TestArrivalShapes:

@@ -20,8 +20,8 @@ from repro.experiments.parallel import (
     PlatformSpec,
     SchedulerSpec,
     WorkloadSpec,
-    default_chunksize,
     merged_metrics,
+    run_chunked,
     run_sweep,
     run_units,
 )
@@ -140,13 +140,6 @@ def test_platform_spec_custom_ladder():
 # ----------------------------------------------------------------------
 # Pool mechanics
 # ----------------------------------------------------------------------
-def test_default_chunksize_bounds():
-    assert default_chunksize(0, 4) == 1
-    assert default_chunksize(3, 4) == 1
-    assert default_chunksize(64, 4) == 4
-    assert default_chunksize(1000, 8) >= 1
-
-
 def test_run_sweep_serial_path_never_touches_pool(monkeypatch):
     import repro.experiments.parallel as par
 
@@ -172,11 +165,16 @@ def test_run_sweep_falls_back_to_serial_on_pool_failure(monkeypatch):
 
 
 def test_run_sweep_preserves_input_order():
-    # chunksize 1 maximises interleaving; order must still hold.
+    # chunk size 1 maximises interleaving; order must still hold.
     items = list(range(20))
-    assert run_sweep(str, items, max_workers=WORKERS, chunksize=1) == [
-        str(i) for i in items
+    assert run_chunked(_str_each, items, None, max_workers=WORKERS, chunk_size=1) == [
+        [str(i)] for i in items
     ]
+    assert run_sweep(str, items, max_workers=WORKERS) == [str(i) for i in items]
+
+
+def _str_each(_shared, chunk):
+    return [str(i) for i in chunk]
 
 
 def test_policy_grid_rejects_lambdas_with_workers():

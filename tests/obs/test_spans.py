@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "golden"))
 from _harness import CASES, golden_path, record_events_jsonl  # noqa: E402
 
-from repro.obs import Observer, SpanTracer, spans_from_jsonl, spans_to_jsonl  # noqa: E402
+from repro.obs import Observer, Span, SpanTracer, spans_from_jsonl, spans_to_jsonl  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -60,23 +60,6 @@ def test_exit_without_enter_raises():
         SpanTracer().exit()
 
 
-def test_add_charge_semantics():
-    """charge=True counts against the parent's self time; charge=False
-    records statistics only (overlapping work)."""
-    charged, uncharged = SpanTracer(), SpanTracer()
-    with charged.span("root"):
-        charged.add("ext", 10.0, start=0.0, charge=True)
-    with uncharged.span("root"):
-        uncharged.add("ext", 10.0, start=0.0, charge=False)
-    root_c = next(s for s in charged.spans if s.name == "root")
-    root_u = next(s for s in uncharged.spans if s.name == "root")
-    # The charged root lost 10 synthetic seconds of self time (clamped
-    # at zero since the real root is far shorter); the uncharged didn't.
-    assert root_c.self_time == 0.0
-    assert root_u.self_time == pytest.approx(root_u.duration)
-    assert charged.aggregate()["root/ext"].total == 10.0
-
-
 def test_merge_resequences_and_preserves_stats():
     a, b = SpanTracer(), SpanTracer(worker="w1")
     with a.span("x"):
@@ -92,7 +75,7 @@ def test_merge_resequences_and_preserves_stats():
 def test_aggregate_percentiles_follow_histogram_semantics():
     tr = SpanTracer()
     for d in (1.0, 2.0, 3.0, 4.0):
-        tr.add("p", d, start=0.0, charge=False)
+        tr.spans.append(Span(len(tr.spans), "p", "p", 0, 0.0, d, d))
     stats = tr.aggregate()["p"]
     assert stats.count == 4
     assert stats.total == 10.0
@@ -151,3 +134,40 @@ def test_engine_spans_close_and_cover_the_run(small_taskset, platform_e1):
         assert f"engine.run/engine.{phase}" in paths
     report = build_phase_report(obs.spans)
     assert report.coverage() == pytest.approx(1.0, abs=0.10)
+
+
+#: Scheduler -> the phases its ``decide`` opens under ``engine.decide``.
+SCHEDULER_PHASES = {
+    "EUA*": ("core.eua_construct", "core.eua_construct/core.eua_feasibility",
+             "core.eua_decide_freq"),
+    "DASA": ("sched.dasa_construct",),
+    "REUA": ("resources.reua_construct", "resources.reua_decide_freq"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SCHEDULER_PHASES))
+def test_scheduler_spans_nest_under_engine_decide(label, small_taskset, platform_e1):
+    """σ construction, feasibility probes and decideFreq are child spans
+    of ``engine.decide``; the tree still tiles the run, and the event
+    log and metrics are byte-identical to a run without spans."""
+    import numpy as np
+
+    from repro.obs import build_phase_report, events_to_jsonl, metrics_to_jsonl
+    from repro.sim import materialize, simulate
+
+    trace = materialize(small_taskset, 0.5, np.random.default_rng(7))
+    factory = CASES[label][1]
+
+    def run(spans):
+        obs = Observer(events=True, metrics=True, spans=spans)
+        simulate(trace, factory(), platform_e1, observer=obs)
+        return obs
+
+    bare, traced = run(False), run(True)
+    assert traced.spans.open_depth == 0
+    paths = {s.path for s in traced.spans.spans}
+    for phase in SCHEDULER_PHASES[label]:
+        assert f"engine.run/engine.decide/{phase}" in paths
+    assert build_phase_report(traced.spans).coverage() == pytest.approx(1.0, abs=0.10)
+    assert events_to_jsonl(traced.events) == events_to_jsonl(bare.events)
+    assert metrics_to_jsonl(traced.metrics) == metrics_to_jsonl(bare.metrics)

@@ -6,7 +6,6 @@ from repro.obs import (
     EventKind,
     EventLog,
     PhaseReport,
-    Profiler,
     SpanTracer,
     Telemetry,
     build_phase_report,
@@ -83,21 +82,23 @@ def test_build_report_wall_clock_defaults_to_root_span():
     assert report.coverage() == pytest.approx(1.0, abs=0.10)
 
 
-def test_profiler_timers_fold_in_but_stay_out_of_coverage():
-    profiler = Profiler()
-    with profiler.time("decide"):
-        pass
-    tr = SpanTracer()
-    with tr.span("root"):
-        pass
-    report = build_phase_report(tr, profiler=profiler)
-    timer_row = report.phase("timers/decide")
-    assert timer_row is not None
-    assert timer_row.count == 1
-    assert timer_row not in report.tree_rows()
-    assert report.self_time_total() == pytest.approx(
-        report.phase("root").self_time
-    )
+def test_merged_tracer_wall_clock_sums_the_roots():
+    """A tracer merged from several single-root runs spans all of them:
+    the wall-clock is the summed root durations, not the longest root,
+    so the phase self-times still cover it exactly once."""
+    merged = SpanTracer()
+    for _ in range(3):
+        run = SpanTracer()
+        with run.span("engine.run"):
+            with run.span("engine.decide"):
+                sum(range(20000))
+            sum(range(20000))
+        merged.merge(run)
+    report = build_phase_report(merged)
+    roots = [s.duration for s in merged.spans if s.depth == 0]
+    assert len(roots) == 3
+    assert report.wall_clock == pytest.approx(sum(roots))
+    assert report.coverage() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_phase_total_sums_by_leaf_name():

@@ -110,7 +110,7 @@ def test_observer_does_not_perturb_the_schedule(scenario):
     taskset, seed, scheduler_name = scenario
     _, bare = _run(taskset, seed, scheduler_name, observer=None)
     _, seen = _run(taskset, seed, scheduler_name,
-                   observer=Observer(events=True, metrics=True, profiling=True))
+                   observer=Observer(events=True, metrics=True, spans=True))
     assert seen.metrics.normalized_utility == bare.metrics.normalized_utility
     assert seen.energy == bare.energy
     assert seen.trace == bare.trace

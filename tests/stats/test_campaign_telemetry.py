@@ -123,16 +123,18 @@ def test_parallel_sweep_records_worker_lanes_and_payload():
     report = build_phase_report(telemetry)
     paths = {r.phase for r in report.phases}
     leaves = {p.rsplit("/", 1)[-1] for p in paths}
+    # Lanes hold one busy interval per dispatched chunk.
+    chunks = telemetry.counter_value("pool.chunks")
+    assert 1 <= chunks <= len(items)
+    assert sum(len(w.intervals) for w in report.workers) == chunks
     if telemetry.counter_value("pool.pickled_bytes") > 0.0:
-        # Pool path: serialize/submit/fold phases plus per-pid lanes
-        # whose interval count matches the item count.
+        # Pool path: serialize/submit/fold phases plus per-pid lanes.
         assert {"pool.serialize", "pool.submit", "pool.fold"} <= leaves
         assert report.workers, "expected at least one worker lane"
-        assert sum(len(w.intervals) for w in report.workers) == len(items)
         assert all(w.worker.startswith("pid-") for w in report.workers)
     else:
         # Serial fallback (sandboxed hosts): still traced, lane "main".
-        assert "pool.execute" in leaves
+        assert "pool.chunk" in leaves
         assert [w.worker for w in report.workers] == ["main"]
 
 
