@@ -8,9 +8,10 @@ full loop:
 1. **Day 0** — ship with pessimistic guesses (WCET-style: mean set to
    the worst case, no variance information).  The Chebyshev budgets are
    bloated, so DVS runs faster than necessary.
-2. **Profile** — attach a :class:`~repro.demand.DemandProfiler` to a
-   production run; it records the *actual* cycles of every completed
-   job (Welford, numerically stable, O(1) per job).
+2. **Profile** — feed a production run's jobs to a
+   :class:`~repro.demand.DemandProfiler`; it records the *actual*
+   cycles of every completed job (Welford, numerically stable, O(1)
+   per job).
 3. **Day 1** — rebuild the task set with the profiled empirical
    distributions, re-derive ``c_i`` and re-simulate: same assurances,
    lower budgets, lower frequencies, less energy.
@@ -100,10 +101,8 @@ def main() -> None:
     # --- Day 0: true demands, shipped (pessimistic) budgets ------------
     trace = materialize(real_world, 20.0, rng)
     profiler = DemandProfiler()
-    day0 = simulate(
-        rebudget_trace(trace, shipped), EUAStar(), platform=platform,
-        profiler=profiler,
-    )
+    day0 = simulate(rebudget_trace(trace, shipped), EUAStar(), platform=platform)
+    profiler.record_completed(day0.jobs)
 
     print("=== Day 0 (WCET-style budgets) ===")
     for t in shipped:

@@ -373,9 +373,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     workload, result = _traced_run(args, observer)
 
     if args.jsonl or args.decisions:
-        # --jsonl: the execution trace (segments + engine events), the
-        # format Trace.from_jsonl round-trips.  --decisions: the richer
-        # structured decision log (EventLog JSONL).
+        # --jsonl: the execution timeline (segments only), the format
+        # Trace.from_jsonl round-trips.  --decisions: the structured
+        # event log (EventLog JSONL).
         text = events_to_jsonl(observer.events) if args.decisions else result.trace.to_jsonl()
         if args.out:
             with open(args.out, "w") as fh:
@@ -389,8 +389,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     events = observer.events
     print(f"scheduler={args.scheduler} load={args.load} jobs={len(workload)} "
           f"horizon={args.horizon}s")
-    print(f"segments={len(trace.segments)} engine-events={len(trace.events)} "
-          f"decision-events={len(events)}")
+    print(f"segments={len(trace.segments)} decision-events={len(events)}")
     rows = []
     for e in list(events)[-args.limit:]:
         rows.append({
@@ -911,8 +910,9 @@ def build_parser() -> argparse.ArgumentParser:
     ptr = sub.add_parser("trace", help="dump one run's structured event trace")
     obs_common(ptr)
     ptr.add_argument("--jsonl", action="store_true",
-                     help="emit the execution trace as JSONL (Trace.from_jsonl "
-                          "round-trips it)")
+                     help="emit the execution trace's segments as JSONL "
+                          "(Trace.from_jsonl round-trips it; events are in "
+                          "--decisions)")
     ptr.add_argument("--decisions", action="store_true",
                      help="emit the scheduler decision log as JSONL instead")
     ptr.add_argument("--out", help="write JSONL to this path instead of stdout")

@@ -11,9 +11,12 @@ distributions (offline path).
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List
 
 from .distributions import DemandError, EmpiricalDemand
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports demand)
+    from ..sim.job import Job
 
 __all__ = ["WelfordEstimator", "DemandProfiler"]
 
@@ -109,8 +112,8 @@ class WelfordEstimator:
 class DemandProfiler:
     """Collects per-task cycle observations and summarises them.
 
-    The simulator can attach one of these to record *actual* executed
-    cycles per completed job, closing the profiling loop the paper
+    :meth:`record_completed` folds in the *actual* executed cycles of a
+    finished run's completed jobs, closing the profiling loop the paper
     sketches: simulate → profile → re-derive ``c_i`` → re-simulate.
     """
 
@@ -123,6 +126,18 @@ class DemandProfiler:
             raise DemandError(f"cycles must be > 0, got {cycles!r}")
         self._streams.setdefault(task_id, WelfordEstimator()).update(cycles)
         self._raw.setdefault(task_id, []).append(float(cycles))
+
+    def record_completed(self, jobs: Iterable["Job"]) -> None:
+        """Record the executed cycles of every completed job in ``jobs``.
+
+        ``jobs`` is a run's job population (``result.jobs``); only jobs
+        with a ``completion_time`` count, folded in completion order
+        (stable, so same-instant completions keep the list's order).
+        """
+        done = [j for j in jobs if j.completion_time is not None]
+        done.sort(key=lambda j: j.completion_time)
+        for job in done:
+            self.record(job.task.name, job.executed)
 
     def tasks(self) -> List[Hashable]:
         return list(self._streams)

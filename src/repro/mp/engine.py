@@ -46,12 +46,13 @@ from ..cpu import (
     min_energy_configuration,
 )
 from ..obs import Observer
-from ..sim.engine import CoreSegment, Engine, SimulationError, SimulationResult, _CoreObserver
+from ..sim.engine import Engine, SimulationError, SimulationResult, _CoreObserver
 from ..sim.job import Job
 from ..sim.metrics import Metrics
 from ..sim.runner import Platform
 from ..sim.scheduler import Scheduler
 from ..sim.task import TaskSet
+from ..sim.trace import Segment
 from ..sim.workload import WorkloadTrace
 from .partition import Partition, partition_taskset
 
@@ -187,9 +188,9 @@ class MPSimulationResult:
     #: Task name -> core (partitioned mode only).
     core_of_task: Optional[Dict[str, int]] = None
     partition: Optional[Partition] = None
-    #: Per-core execution segments (always for global; for partitioned
-    #: only when ``record_trace=True``).
-    core_segments: Optional[List[List[CoreSegment]]] = None
+    #: Per-core execution segments, each core's ``Trace.segments``
+    #: (always for global; for partitioned only when ``record_trace=True``).
+    core_segments: Optional[List[List[Segment]]] = None
     per_core_results: Optional[List[Optional[SimulationResult]]] = None
     configuration: Optional[MPConfiguration] = None
     trace = None  # SimulationResult-consumer compatibility
@@ -285,7 +286,7 @@ def simulate_partitioned(
     scheduler_name: Optional[str] = None
     per_core_stats: List[ProcessorStats] = []
     per_core_results: List[Optional[SimulationResult]] = []
-    core_segments: Optional[List[List[CoreSegment]]] = [] if record_trace else None
+    core_segments: Optional[List[List[Segment]]] = [] if record_trace else None
     all_jobs: List[Job] = []
 
     for core, indices in enumerate(partition.assignment):
@@ -297,7 +298,7 @@ def simulate_partitioned(
             per_core_stats.append(cpu.stats)
             per_core_results.append(None)
             if core_segments is not None:
-                core_segments.append([(0.0, horizon, None, cpu.frequency)])
+                core_segments.append([Segment(0.0, horizon, None, cpu.frequency)])
             continue
         sub_taskset = partition.sub_taskset(taskset, core)
         sub_specs = [s for i in indices for s in by_spec[taskset[i].name]]
@@ -319,10 +320,8 @@ def simulate_partitioned(
         per_core_stats.append(result.processor_stats)
         per_core_results.append(result)
         all_jobs.extend(result.jobs)
-        if core_segments is not None and result.trace is not None:
-            core_segments.append(
-                [(s.start, s.end, s.job_key, s.frequency) for s in result.trace.segments]
-            )
+        if core_segments is not None:
+            core_segments.append(result.trace.segments)
 
     if checker is not None:
         checker.violations = collected_violations
@@ -358,9 +357,11 @@ class GlobalEngine(Engine):
     Runs the :class:`~repro.sim.engine.Engine` event loop over the
     platform's m cores and packs the per-core accounting (stats, uncore
     energy, execution segments, migrations) into an
-    :class:`MPSimulationResult`.  At ``m = 1`` the loop's dispatch step
-    is a single ``decide`` call, so the float stream is bit-identical
-    to the uniprocessor engine (pinned in
+    :class:`MPSimulationResult`.  Each core's
+    :class:`~repro.sim.trace.Trace` is always recorded: the multicore
+    invariant suite audits its segments.  At ``m = 1`` the loop's
+    dispatch step is a single ``decide`` call, so the float stream is
+    bit-identical to the uniprocessor engine (pinned in
     ``tests/properties/test_mp_equivalence.py``).
 
     DVS switch *time* is rejected: a per-core stall while other cores
@@ -386,6 +387,7 @@ class GlobalEngine(Engine):
             workload,
             scheduler,
             [platform.processor() for _ in range(platform.cores)],
+            record_trace=True,
             observer=observer,
         )
         self.platform = platform
@@ -408,7 +410,7 @@ class GlobalEngine(Engine):
             horizon=horizon,
             migrations=self.migrations,
             uncore_energy=uncore_energy,
-            core_segments=self.core_segments,
+            core_segments=[trace.segments for trace in self.traces],
         )
 
 

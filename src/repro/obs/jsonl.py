@@ -33,8 +33,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Event logs
 # ----------------------------------------------------------------------
-def events_to_jsonl(log: EventLog) -> str:
-    """Serialise an event log, one event per line."""
+def events_to_jsonl(log: Iterable[Event]) -> str:
+    """Serialise an event log (or any run of its events), one event per line."""
     lines: List[str] = []
     for e in log:
         row = {

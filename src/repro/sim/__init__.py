@@ -6,7 +6,7 @@ from .job import Job, JobStatus
 from .metrics import Metrics, TaskMetrics
 from .runner import Platform, compare, simulate
 from .task import Task, TaskModelError, TaskSet
-from .trace import Segment, Trace, TraceEvent, TraceEventKind
+from .trace import Segment, Trace
 from .validation import ValidationReport, validate_result
 from .workload import JobSpec, WorkloadTrace, materialize
 
@@ -25,8 +25,6 @@ __all__ = [
     "Metrics",
     "TaskMetrics",
     "Trace",
-    "TraceEvent",
-    "TraceEventKind",
     "Segment",
     "Platform",
     "simulate",

@@ -46,14 +46,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cpu import EnergyModel, FrequencyScale, Processor, ProcessorStats
-from ..demand import DemandProfiler
 from ..obs import EventKind, Observer
 from .clock import Clock, as_clock
 from .scheduler import ArrivalWindow, Scheduler, SchedulerView, SchedulingEvent
 from .job import Job, JobStatus
 from .metrics import Metrics
 from .task import TaskSet
-from .trace import Trace, TraceEventKind
+from .trace import Trace
 from .workload import WorkloadTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports sim)
@@ -66,10 +65,6 @@ __all__ = ["Engine", "SimulationResult", "SimulationError", "build_view"]
 EPS_CYCLES = 1e-9
 #: Time tolerance for event coincidence.
 EPS_TIME = 1e-12
-
-#: One executed/idle interval of one core: (start, end, job key or None,
-#: frequency).  Same shape as :class:`repro.sim.trace.Segment`.
-CoreSegment = Tuple[float, float, Optional[str], float]
 
 
 class SimulationError(RuntimeError):
@@ -218,8 +213,13 @@ class Engine:
     ``processor`` is either one :class:`~repro.cpu.Processor` (the
     uniprocessor: events carry no core field) or a list of ``m`` of
     them sharing the ready queue (global dispatch: per-core events end
-    with ``core=k``, execution segments land in :attr:`core_segments`
-    and migrations in :attr:`migrations`).
+    with ``core=k`` and migrations land in :attr:`migrations`).
+
+    Each fact the loop records lives in one place: lifecycle events in
+    the observer's :class:`~repro.obs.EventLog`, execution segments in
+    one :class:`~repro.sim.trace.Trace` per core (:attr:`traces`, kept
+    when ``record_trace`` is set; :class:`~repro.mp.GlobalEngine` always
+    sets it), completions in the returned job list.
     """
 
     def __init__(
@@ -228,7 +228,6 @@ class Engine:
         scheduler: Scheduler,
         processor: Union[Processor, Sequence[Processor]],
         record_trace: bool = False,
-        profiler: Optional[DemandProfiler] = None,
         observer: Optional[Observer] = None,
         runtime: Optional["AdaptiveRuntime"] = None,
         checker: Optional["InvariantChecker"] = None,
@@ -240,11 +239,9 @@ class Engine:
             self.cores: List[Processor] = [processor]
             #: Extra fields of per-core events, expanded only when observed.
             self._tags: List[Dict[str, int]] = [{}]
-            self.core_segments: Optional[List[List[CoreSegment]]] = None
         else:
             self.cores = list(processor)
             self._tags = [{"core": k} for k in range(len(self.cores))]
-            self.core_segments = [[] for _ in self.cores]
         self.processor = self.cores[0]
         self.migrations = 0
         #: Core-stamping observer proxies for the per-core frequency
@@ -254,8 +251,6 @@ class Engine:
             if observer is not None and len(self.cores) > 1
             else None
         )
-        self.record_trace = bool(record_trace)
-        self.profiler = profiler
         self.observer = observer
         self.runtime = runtime
         self.checker = checker
@@ -263,7 +258,10 @@ class Engine:
         #: a non-virtual clock (``"wall"``) makes the loop *wait* for
         #: each event instant before applying it (see repro.sim.clock).
         self.clock = as_clock(clock)
-        self.trace: Optional[Trace] = Trace() if record_trace else None
+        #: Execution timeline of each core.
+        self.traces: Optional[List[Trace]] = (
+            [Trace() for _ in self.cores] if record_trace else None
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -305,7 +303,7 @@ class Engine:
             processor_stats=stats,
             jobs=jobs,
             horizon=horizon,
-            trace=self.trace,
+            trace=self.traces[0] if self.traces is not None else None,
         )
 
     def _run(self) -> List[Job]:
@@ -336,8 +334,7 @@ class Engine:
         multi = m > 1
         core_ids = range(m)
         tags = self._tags
-        segments = self.core_segments
-        trace = self.trace
+        traces = self.traces
         cpu0 = cores[0]
         scale, energy_model = cpu0.scale, cpu0.model
 
@@ -424,8 +421,6 @@ class Engine:
                     if verdict.action == "shed":
                         job.status = JobStatus.SHED
                         job.abort_time = t
-                        if trace is not None:
-                            trace.add_event(t, TraceEventKind.ABORT, job.key)
                         continue
                     if verdict.action == "defer":
                         job.release = verdict.release
@@ -436,14 +431,10 @@ class Engine:
                         victim.status = JobStatus.SHED
                         victim.abort_time = t
                         ready.remove(victim)
-                        if trace is not None:
-                            trace.add_event(t, TraceEventKind.ABORT, victim.key)
                 ready.append(job)
                 recent_arrivals[job.task.name].append(job.release)
                 if ck is not None:
                     ck.on_release(job, t)
-                if trace is not None:
-                    trace.add_event(t, TraceEventKind.RELEASE, job.key)
                 if obs is not None:
                     obs.emit(t, EventKind.RELEASE, job.key,
                              release=job.release, termination=job.termination)
@@ -464,8 +455,6 @@ class Engine:
                     job.status = JobStatus.EXPIRED
                     job.abort_time = t
                     ready.remove(job)
-                    if trace is not None:
-                        trace.add_event(t, TraceEventKind.EXPIRE, job.key)
                     if obs is not None:
                         obs.emit(t, EventKind.EXPIRE, job.key,
                                  executed=job.executed, demand=job.demand)
@@ -521,8 +510,6 @@ class Engine:
                     job.abort_time = t
                     if job in ready:
                         ready.remove(job)
-                    if trace is not None:
-                        trace.add_event(t, TraceEventKind.ABORT, job.key)
                     if obs is not None:
                         obs.emit(t, EventKind.ABORT, job.key,
                                  executed=job.executed, budget=job.allocated)
@@ -573,14 +560,15 @@ class Engine:
                 switch_overhead = cpu.set_frequency(freq)
                 if switch_overhead > 0.0:
                     # Charge the DVS transition as stalled (non-executing)
-                    # time; only a uniprocessor can have one (GlobalEngine
-                    # rejects switch_time > 0).
+                    # time, recorded as idle; only a uniprocessor can have
+                    # one (GlobalEngine rejects switch_time > 0).
                     cpu.idle(switch_overhead)
                     if ck is not None:
                         ck.on_idle(switch_overhead)
-                    t = min(horizon, t + switch_overhead)
-                if trace is not None and cpu.frequency != freq_before:
-                    trace.add_event(t, TraceEventKind.FREQ, value=cpu.frequency)
+                    t_stalled = min(horizon, t + switch_overhead)
+                    if traces is not None:
+                        traces[k].add_segment(t, t_stalled, None, cpu.frequency)
+                    t = t_stalled
                 if obs is not None and cpu.frequency != freq_before:
                     obs.emit(t, EventKind.FREQ_SWITCH, job.key,
                              frequency=cpu.frequency, previous=freq_before,
@@ -651,17 +639,13 @@ class Engine:
                     job.executed += executed
                     if ck is not None:
                         ck.on_segment(t, t_next, cpu.frequency, executed)
-                    if trace is not None:
-                        trace.add_segment(t, t_next, job.key, cpu.frequency)
                 else:
                     cpu.idle(dt)
                     if ck is not None:
                         ck.on_idle(dt)
-                    if trace is not None:
-                        trace.add_segment(t, t_next, None, cpu.frequency)
-                if segments is not None and dt > 0.0:
-                    segments[k].append(
-                        (t, t_next, job.key if job is not None else None, cpu.frequency)
+                if traces is not None:
+                    traces[k].add_segment(
+                        t, t_next, job.key if job is not None else None, cpu.frequency
                     )
                 if obs is not None and dt > 0.0:
                     obs.inc("cpu_residency_seconds", dt,
@@ -690,12 +674,6 @@ class Engine:
                 scheduler.on_completion(job, t)
                 if rt is not None:
                     rt.on_completion(job, t)
-                if self.profiler is not None:
-                    self.profiler.record(job.task.name, job.executed)
-                if trace is not None:
-                    trace.add_event(
-                        t, TraceEventKind.COMPLETE, job.key, job.accrued_utility
-                    )
                 if obs is not None:
                     obs.emit(t, EventKind.COMPLETE, job.key,
                              utility=job.accrued_utility,

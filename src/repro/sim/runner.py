@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from ..cpu import EnergyModel, FrequencyScale, Processor
-from ..demand import DemandProfiler
 from ..obs import Observer
 from .clock import Clock
 from .scheduler import Scheduler
@@ -89,7 +88,6 @@ def simulate(
     seed: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     record_trace: bool = False,
-    profiler: Optional[DemandProfiler] = None,
     observer: Optional[Observer] = None,
     runtime: Optional["AdaptiveRuntime"] = None,
     checker: Optional["InvariantChecker"] = None,
@@ -119,7 +117,6 @@ def simulate(
         scheduler,
         platform.processor(),
         record_trace=record_trace,
-        profiler=profiler,
         observer=observer,
         runtime=runtime,
         checker=checker,

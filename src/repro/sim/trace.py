@@ -1,37 +1,30 @@
 """Execution traces — optional per-segment recording.
 
-A :class:`Trace` records every contiguous stretch of processor activity
-(which job ran, at which frequency) plus the discrete events (releases,
-completions, aborts, expiries, frequency switches).  Traces back the
-energy/cycle conservation property tests and the Theorem 2 (EDF
-equivalence) checks, and make simulations debuggable.
+A :class:`Trace` is the execution timeline of one core: every
+contiguous stretch of processor activity (which job ran, at which
+frequency), idle stretches and DVS switch stalls included, so a
+recorded run's segments tile ``[0, horizon]``.  The discrete events
+(releases, completions, aborts, expiries, frequency switches) live in
+the :class:`~repro.obs.EventLog` of an attached observer, not here.
+Traces back the energy/cycle conservation property tests and the
+Theorem 2 (EDF equivalence) checks, and make simulations debuggable.
 """
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
-__all__ = ["Trace", "Segment", "TraceEvent", "TraceEventKind"]
-
-
-class TraceEventKind(enum.Enum):
-    RELEASE = "release"
-    COMPLETE = "complete"
-    ABORT = "abort"
-    EXPIRE = "expire"
-    FREQ = "freq"
+__all__ = ["Trace", "Segment"]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """A maximal interval with constant (job, frequency) state.
 
     ``job_key`` is ``None`` for idle intervals; ``frequency`` is the
     operating point during the interval (idle intervals keep the last
-    set frequency for reference).
+    set frequency for reference).  A plain tuple underneath, so
+    ``start, end, job_key, frequency = seg`` unpacks it.
     """
 
     start: float
@@ -49,66 +42,44 @@ class Segment:
         return 0.0 if self.job_key is None else self.duration * self.frequency
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    time: float
-    kind: TraceEventKind
-    job_key: Optional[str] = None
-    value: float = 0.0
-
-
 class Trace:
-    """Chronological record of segments and events."""
+    """Chronological record of one core's segments."""
 
     def __init__(self) -> None:
         self.segments: List[Segment] = []
-        self.events: List[TraceEvent] = []
 
     # ------------------------------------------------------------------
     def add_segment(self, start: float, end: float, job_key: Optional[str], frequency: float):
-        if end < start:
-            raise ValueError(f"segment must not run backwards: [{start}, {end}]")
-        if end == start:
+        if end <= start:
+            if end < start:
+                raise ValueError(f"segment must not run backwards: [{start}, {end}]")
             return
+        segments = self.segments
         # Coalesce with the previous segment when state is unchanged.
-        if self.segments:
-            last = self.segments[-1]
-            if (
-                last.end == start
-                and last.job_key == job_key
-                and last.frequency == frequency
-            ):
-                self.segments[-1] = Segment(last.start, end, job_key, frequency)
+        if segments:
+            last = segments[-1]
+            if last.end == start and last.job_key == job_key and last.frequency == frequency:
+                segments[-1] = Segment(last.start, end, job_key, frequency)
                 return
-        self.segments.append(Segment(start, end, job_key, frequency))
-
-    def add_event(self, time: float, kind: TraceEventKind, job_key: Optional[str] = None,
-                  value: float = 0.0) -> None:
-        self.events.append(TraceEvent(time, kind, job_key, value))
+        segments.append(Segment(start, end, job_key, frequency))
 
     # ------------------------------------------------------------------
     # JSONL round-trip
     # ------------------------------------------------------------------
     def to_jsonl(self) -> str:
-        """Serialise the trace, one JSON object per line.
+        """Serialise the segments, one ``segment`` JSON object per line.
 
-        Two row types: ``segment`` (the execution timeline) and
-        ``event`` (the discrete markers).  Floats go through :mod:`json`
-        ``repr``, which round-trips IEEE doubles exactly, so
-        ``Trace.from_jsonl(trace.to_jsonl())`` reproduces the trace
-        bit-for-bit (asserted by the test suite).
+        Floats go through :mod:`json` ``repr``, which round-trips IEEE
+        doubles exactly, so ``Trace.from_jsonl(trace.to_jsonl())``
+        reproduces the trace bit-for-bit (asserted by the test suite).
         """
-        lines: List[str] = []
-        for s in self.segments:
-            lines.append(json.dumps({
+        lines = [
+            json.dumps({
                 "type": "segment", "start": s.start, "end": s.end,
                 "job": s.job_key, "frequency": s.frequency,
-            }))
-        for e in self.events:
-            lines.append(json.dumps({
-                "type": "event", "time": e.time, "kind": e.kind.value,
-                "job": e.job_key, "value": e.value,
-            }))
+            })
+            for s in self.segments
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -124,24 +95,18 @@ class Trace:
                 continue
             row = json.loads(line)
             kind = row.get("type")
-            if kind == "segment":
-                trace.segments.append(Segment(
-                    start=float(row["start"]), end=float(row["end"]),
-                    job_key=row.get("job"), frequency=float(row["frequency"]),
-                ))
-            elif kind == "event":
-                trace.events.append(TraceEvent(
-                    time=float(row["time"]), kind=TraceEventKind(row["kind"]),
-                    job_key=row.get("job"), value=float(row.get("value", 0.0)),
-                ))
-            else:
+            if kind != "segment":
                 raise ValueError(f"line {lineno}: unknown trace row type {kind!r}")
+            trace.segments.append(Segment(
+                start=float(row["start"]), end=float(row["end"]),
+                job_key=row.get("job"), frequency=float(row["frequency"]),
+            ))
         return trace
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.segments == other.segments and self.events == other.events
+        return self.segments == other.segments
 
     # ------------------------------------------------------------------
     # Queries
@@ -171,35 +136,9 @@ class Trace:
                 seen.append(s.job_key)
         return seen
 
-    def events_of(self, kind: TraceEventKind) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind is kind]
-
     def is_contiguous(self) -> bool:
         """Segments tile the timeline with no gaps or overlaps."""
         for a, b in zip(self.segments, self.segments[1:]):
             if abs(a.end - b.start) > 1e-9:
                 return False
         return True
-
-    def preemption_count(self) -> int:
-        """Busy→busy transitions that switch to a *different* job while
-        the previous one had not completed at the boundary."""
-        completions = {
-            (e.job_key, e.time) for e in self.events if e.kind is TraceEventKind.COMPLETE
-        }
-        count = 0
-        busy = self.busy_segments()
-        for a, b in zip(busy, busy[1:]):
-            if a.job_key != b.job_key and abs(a.end - b.start) <= 1e-9:
-                if (a.job_key, a.end) not in completions:
-                    # Also not aborted/expired at that instant?  Treat any
-                    # non-completion switch as a preemption.
-                    ended = any(
-                        e.kind in (TraceEventKind.ABORT, TraceEventKind.EXPIRE)
-                        and e.job_key == a.job_key
-                        and abs(e.time - a.end) <= 1e-9
-                        for e in self.events
-                    )
-                    if not ended:
-                        count += 1
-        return count

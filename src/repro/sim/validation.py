@@ -11,12 +11,12 @@ numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from ..cpu import EnergyModel
 from .engine import SimulationResult
 from .job import JobStatus
-from .trace import TraceEventKind
+from .trace import Segment
 
 __all__ = ["ValidationReport", "validate_result"]
 
@@ -80,23 +80,39 @@ def validate_result(result: SimulationResult, model: EnergyModel) -> ValidationR
         )
 
     # ------------------------------------------------------------------
-    # Per-job execution windows and cycle conservation.
+    # Per-job execution windows and cycle conservation: a job runs only
+    # between its release and its completion/abort instant, and a
+    # completed job's last busy segment ends exactly at its completion.
     # ------------------------------------------------------------------
-    by_key = {j.key: j for j in result.jobs}
-    for key, job in by_key.items():
-        executed = trace.executed_cycles(key)
+    busy: Dict[str, List[Segment]] = {}
+    for seg in trace.busy_segments():
+        busy.setdefault(seg.job_key, []).append(seg)
+    for job in result.jobs:
+        key = job.key
+        segs = busy.get(key, [])
+        executed = sum(seg.cycles for seg in segs)
         report._check(
             abs(executed - job.executed) <= _TOL * max(1.0, job.executed),
             f"{key}: trace cycles {executed} != job.executed {job.executed}",
         )
-        for seg in trace.busy_segments():
-            if seg.job_key != key:
-                continue
+        finished = job.completion_time if job.completion_time is not None else job.abort_time
+        for seg in segs:
             report._check(
                 seg.start >= job.release - _TOL,
                 f"{key} executed at {seg.start} before its release {job.release}",
             )
+            if finished is not None:
+                report._check(
+                    seg.end <= finished + _TOL,
+                    f"{key} executed until {seg.end} after finishing at {finished}",
+                )
         if job.status is JobStatus.COMPLETED:
+            if segs:
+                report._check(
+                    abs(segs[-1].end - job.completion_time) <= _TOL,
+                    f"{key} completed at {job.completion_time} but last ran "
+                    f"until {segs[-1].end}",
+                )
             report._check(
                 abs(job.executed - job.demand) <= _TOL * max(1.0, job.demand),
                 f"{key} completed with {job.executed} of {job.demand} cycles",
@@ -111,19 +127,6 @@ def validate_result(result: SimulationResult, model: EnergyModel) -> ValidationR
             report._check(
                 job.accrued_utility == 0.0,
                 f"{key} {job.status.value} but accrued {job.accrued_utility}",
-            )
-
-    # ------------------------------------------------------------------
-    # Events consistent with final statuses.
-    # ------------------------------------------------------------------
-    completions = {e.job_key for e in trace.events_of(TraceEventKind.COMPLETE)}
-    for key, job in by_key.items():
-        if job.status is JobStatus.COMPLETED:
-            report._check(key in completions, f"{key} completed without a COMPLETE event")
-        else:
-            report._check(
-                key not in completions,
-                f"{key} has a COMPLETE event but status {job.status.value}",
             )
 
     # ------------------------------------------------------------------

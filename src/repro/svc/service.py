@@ -34,7 +34,7 @@ import json
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..obs import EventLog, events_to_jsonl
+from ..obs import events_to_jsonl
 from ..sim.clock import Clock, WallClock
 from .core import ServiceCore, UnknownTaskError
 
@@ -303,19 +303,15 @@ class SchedulerService:
         return "200 OK", _json(verdicts)
 
     def _events(self, query: str) -> Tuple[str, bytes]:
-        since = 0
-        params = parse_qs(query)
-        if "since" in params:
-            try:
-                since = int(params["since"][0])
-            except ValueError:
-                pass
+        raw = parse_qs(query).get("since", ["0"])[0]
+        if not raw.isdecimal():  # rejects negatives and non-integers
+            return "400 Bad Request", _json(
+                {"error": f"since must be a non-negative integer, got {raw!r}"}
+            )
+        since = int(raw)
         log = self.core.observer.events
-        snapshot = EventLog()
-        if log is not None:
-            for event in log.events[since:]:
-                snapshot.append(event)
-        return "200 OK", events_to_jsonl(snapshot).encode()
+        events = log.events[since:] if log is not None else []
+        return "200 OK", events_to_jsonl(events).encode()
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

@@ -52,6 +52,26 @@ def test_migration_counter_matches_segments(platform2):
     check_mp_result(result)
 
 
+def test_core_traces_tile_the_horizon():
+    # Each core's Trace covers [0, horizon] exactly once, coalesced (no
+    # two neighbours share a state); the invariant suite audits those
+    # same segments through result.core_segments.
+    platform = MulticorePlatform.from_platform(Platform(), cores=4)
+    workload = _trace(cores=4)
+    engine = GlobalEngine(workload, make_scheduler("EUA*"), platform)
+    result = engine.run()
+    for trace, segments, stats in zip(engine.traces, result.core_segments,
+                                      result.per_core_stats):
+        assert segments is trace.segments
+        assert trace.is_contiguous()
+        assert trace.segments[0].start == 0.0
+        assert trace.segments[-1].end == workload.horizon
+        for a, b in zip(trace.segments, trace.segments[1:]):
+            assert (a.job_key, a.frequency) != (b.job_key, b.frequency)
+        assert trace.busy_time() == pytest.approx(stats.busy_time)
+    check_mp_result(result)
+
+
 def test_completions_land_within_horizon(platform2):
     from repro.sim.job import JobStatus
 

@@ -38,10 +38,10 @@ def _small_run(observer=None, record_trace=True, load=0.9, seed=3):
 def test_trace_jsonl_roundtrip_exact():
     result = _small_run()
     trace = result.trace
-    assert trace.segments and trace.events  # non-trivial input
+    assert trace.segments  # non-trivial input
     text = trace.to_jsonl()
     rebuilt = Trace.from_jsonl(text)
-    assert rebuilt == trace           # bit-exact float round-trip
+    assert rebuilt.segments == trace.segments  # bit-exact float round-trip
     assert rebuilt.to_jsonl() == text
 
 
@@ -50,8 +50,10 @@ def test_trace_jsonl_empty():
 
 
 def test_trace_jsonl_rejects_unknown_rows():
-    with pytest.raises(ValueError):
-        Trace.from_jsonl('{"type": "mystery"}')
+    # Event rows belong to the EventLog JSONL; a trace holds segments only.
+    for row in ('{"type": "mystery"}', '{"type": "event", "time": 0.0, "kind": "release"}'):
+        with pytest.raises(ValueError):
+            Trace.from_jsonl(row)
 
 
 def test_event_log_jsonl_roundtrip_exact():

@@ -6,6 +6,7 @@ import pytest
 from repro.arrivals import UAMSpec
 from repro.cpu import EnergyModel, FrequencyScale, Processor
 from repro.demand import DemandProfiler, DeterministicDemand
+from repro.obs import EventKind, Observer
 from repro.sched import Decision, EDFStatic, Scheduler
 from repro.sim import (
     Engine,
@@ -85,13 +86,13 @@ class TestBasicExecution:
             [(long_task, [(0.0, 1000.0)]), (short_task, [(0.1, 100.0)])],
             horizon=2.0,
         )
-        result = Engine(
-            trace, EDFStatic(), _platform_processor(), record_trace=True
-        ).run()
+        obs = Observer(events=True, metrics=False)
+        result = Engine(trace, EDFStatic(), _platform_processor(), observer=obs).run()
         by_key = {j.key: j for j in result.jobs}
         assert by_key["S:0"].completion_time == pytest.approx(0.2)
         assert by_key["L:0"].completion_time == pytest.approx(1.1)
-        assert result.trace.preemption_count() == 1
+        preempts = obs.events.of_kind(EventKind.PREEMPT)
+        assert [(e.job, e.fields["preempted_by"]) for e in preempts] == [("L:0", "S:0")]
 
     def test_utility_zero_when_completing_late_na(self):
         # Non-abortable policy: job finishes past its termination, 0 utility.
@@ -231,29 +232,23 @@ class TestFrequencySemantics:
 
 
 class TestFreqTraceEvents:
-    """FREQ trace events must mark actual level changes, not dispatches."""
+    """FREQ_SWITCH events must mark actual level changes, not dispatches."""
 
     def test_no_freq_event_without_a_switch(self):
         # Two jobs, both dispatched at the ladder's resident f_max: the
-        # frequency never changes, so the trace must carry no FREQ
+        # frequency never changes, so the log must carry no FREQ_SWITCH
         # events (the old guard emitted one per dispatch).
         task = _task(window=0.5, mean=100.0)
         trace = _trace([(task, [(0.0, 100.0), (0.5, 100.0)])], horizon=1.0)
-        result = Engine(
-            trace, EDFStatic(), _platform_processor(), record_trace=True
-        ).run()
-        from repro.sim.trace import TraceEventKind
-
-        freq_events = [
-            e for e in result.trace.events if e.kind is TraceEventKind.FREQ
-        ]
-        assert freq_events == []
+        obs = Observer(events=True, metrics=False)
+        result = Engine(trace, EDFStatic(), _platform_processor(), observer=obs).run()
+        assert obs.events.of_kind(EventKind.FREQ_SWITCH) == []
         assert result.processor_stats.switch_count == 0
 
     def test_freq_events_match_switch_count_and_changes(self):
-        # A policy that alternates levels per dispatch: every FREQ event
-        # must carry a value different from the previous one, and the
-        # event count must equal the processor's switch counter.
+        # A policy that alternates levels per dispatch: every FREQ_SWITCH
+        # event must carry a value different from the previous one, and
+        # the event count must equal the processor's switch counter.
         class Alternating(EDFStatic):
             def decide(self, view):
                 d = super().decide(view)
@@ -265,17 +260,15 @@ class TestFreqTraceEvents:
             [(task, [(0.0, 100.0), (0.5, 100.0), (1.0, 100.0)])], horizon=2.0
         )
         cpu = _platform_processor()
-        result = Engine(trace, Alternating(), cpu, record_trace=True).run()
-        from repro.sim.trace import TraceEventKind
-
-        freq_events = [
-            e for e in result.trace.events if e.kind is TraceEventKind.FREQ
-        ]
+        obs = Observer(events=True, metrics=False)
+        Engine(trace, Alternating(), cpu, observer=obs).run()
+        freq_events = obs.events.of_kind(EventKind.FREQ_SWITCH)
         assert len(freq_events) == cpu.stats.switch_count > 0
         previous = 1000.0  # ladder resident level at t=0
         for event in freq_events:
-            assert event.value != previous
-            previous = event.value
+            assert event.fields["previous"] == previous
+            assert event.fields["frequency"] != previous
+            previous = event.fields["frequency"]
 
 
 class TestHorizonAndProfiler:
@@ -292,7 +285,8 @@ class TestHorizonAndProfiler:
         profiler = DemandProfiler()
         task = _task(window=0.5, mean=100.0)
         trace = _trace([(task, [(0.0, 100.0), (0.5, 100.0)])], horizon=1.0)
-        Engine(trace, EDFStatic(), _platform_processor(), profiler=profiler).run()
+        result = Engine(trace, EDFStatic(), _platform_processor()).run()
+        profiler.record_completed(result.jobs)
         assert profiler.count("T") == 2
         assert profiler.mean("T") == pytest.approx(100.0)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Trace, TraceEventKind
+from repro.sim import Trace
 from repro.sim.trace import Segment
 
 
@@ -59,35 +59,3 @@ class TestEventsAndOrder:
         tr.add_segment(1.0, 2.0, "B:0", 500.0)
         tr.add_segment(2.0, 3.0, "A:0", 500.0)
         assert tr.job_order() == ["A:0", "B:0"]
-
-    def test_events_of(self):
-        tr = Trace()
-        tr.add_event(0.0, TraceEventKind.RELEASE, "A:0")
-        tr.add_event(1.0, TraceEventKind.COMPLETE, "A:0", value=5.0)
-        assert len(tr.events_of(TraceEventKind.RELEASE)) == 1
-        assert tr.events_of(TraceEventKind.COMPLETE)[0].value == 5.0
-
-    def test_preemption_count(self):
-        tr = Trace()
-        # A runs, is preempted by B (no completion event at the switch),
-        # then resumes and completes.
-        tr.add_segment(0.0, 1.0, "A:0", 500.0)
-        tr.add_segment(1.0, 2.0, "B:0", 500.0)
-        tr.add_event(2.0, TraceEventKind.COMPLETE, "B:0")
-        tr.add_segment(2.0, 3.0, "A:0", 500.0)
-        tr.add_event(3.0, TraceEventKind.COMPLETE, "A:0")
-        assert tr.preemption_count() == 1
-
-    def test_completion_switch_not_a_preemption(self):
-        tr = Trace()
-        tr.add_segment(0.0, 1.0, "A:0", 500.0)
-        tr.add_event(1.0, TraceEventKind.COMPLETE, "A:0")
-        tr.add_segment(1.0, 2.0, "B:0", 500.0)
-        assert tr.preemption_count() == 0
-
-    def test_abort_switch_not_a_preemption(self):
-        tr = Trace()
-        tr.add_segment(0.0, 1.0, "A:0", 500.0)
-        tr.add_event(1.0, TraceEventKind.ABORT, "A:0")
-        tr.add_segment(1.0, 2.0, "B:0", 500.0)
-        assert tr.preemption_count() == 0

@@ -5,8 +5,9 @@ import pytest
 
 from repro.core import EUAStar
 from repro.cpu import EnergyModel
+from repro.experiments import synthesize_taskset
 from repro.sched import EDFStatic, LAEDF
-from repro.sim import materialize, simulate, validate_result
+from repro.sim import Platform, materialize, simulate, validate_result
 from repro.sim.trace import Segment
 
 
@@ -23,6 +24,17 @@ class TestCleanRuns:
         trace = materialize(overload_taskset, 2.0, np.random.default_rng(62))
         result = simulate(trace, EUAStar(), platform_e1, record_trace=True)
         report = validate_result(result, platform_e1.energy_model)
+        assert report.ok, str(report)
+
+    def test_switch_stall_run_validates(self):
+        # DVS switch stalls are idle time on the timeline: the segments
+        # must still tile [0, horizon] with every stall recorded.
+        rng = np.random.default_rng(11)
+        trace = materialize(synthesize_taskset(0.8, rng), 1.0, rng)
+        platform = Platform(switch_time=1e-4)
+        result = simulate(trace, EUAStar(), platform, record_trace=True)
+        assert result.processor_stats.switch_count > 0
+        report = validate_result(result, platform.energy_model)
         assert report.ok, str(report)
 
     def test_e3_energy_validates(self, platform_e3, small_taskset):
@@ -84,3 +96,12 @@ class TestDetection:
         )
         report = validate_result(result, platform_e1.energy_model)
         assert not report.ok
+
+    def test_execution_after_completion_detected(self, platform_e1, small_taskset):
+        result = self._valid_result(platform_e1, small_taskset)
+        done = next(j for j in result.jobs if j.completion_time is not None)
+        last = [s for s in result.trace.busy_segments() if s.job_key == done.key][-1]
+        done.completion_time = last.start
+        report = validate_result(result, platform_e1.energy_model)
+        assert any("after finishing" in v for v in report.violations), str(report)
+        assert any("last ran until" in v for v in report.violations), str(report)

@@ -138,6 +138,12 @@ def test_event_stream_is_wellformed_jsonl():
         status, body = await conn.request("GET", f"/events?since={n}")
         assert status == 200
         assert len(events_from_jsonl(body.decode()).events) <= n
+        # A negative or non-integer `since` is a client error, not a
+        # tail slice or the whole log.
+        for bad in ("-1", "abc"):
+            status, body = await conn.request("GET", f"/events?since={bad}")
+            assert status == 400
+            assert "since" in json.loads(body)["error"]
 
     asyncio.run(_with_service(scenario))
 
