@@ -15,16 +15,18 @@ Two implementations live here:
   re-walk σ from scratch per probe — simple, obviously correct, and
   kept importable under ``*_reference`` aliases as the equivalence
   oracle for the differential test harness;
-* :class:`IncrementalSchedule`, the hot-path structure EUA*/REUA build
-  σ with: it maintains the critical-time order and the sequentially
-  folded prefix of predicted completion times, so an insertion probe
-  locates its position by bisection and re-folds only the *suffix* at
-  or after the insertion point instead of copying and re-walking the
-  whole schedule.  The suffix re-fold repeats the reference's exact
-  accumulation order, so every probe verdict — and therefore every
-  schedule, abort set, and frequency decision downstream — is
-  bit-identical to the naive path (see ``docs/performance.md`` for the
-  equivalence contract).
+* :class:`IncrementalSchedule`, the hot-path structure EUA* and DASA
+  build σ with: it maintains the critical-time order, the sequentially
+  folded prefix of predicted completion times, and each entry's
+  execution time and termination threshold (computed once, when the
+  entry is accepted), so an insertion probe locates its position by
+  bisection and re-folds only the *suffix* at or after the insertion
+  point — a loop over cached floats — instead of copying and
+  re-walking the whole schedule.  The suffix re-fold repeats the
+  reference's exact accumulation order, so every probe verdict — and
+  therefore every schedule, abort set, and frequency decision
+  downstream — is bit-identical to the naive path (see
+  ``docs/performance.md`` for the equivalence contract).
 """
 
 from __future__ import annotations
@@ -158,12 +160,15 @@ insert_by_critical_time_reference = insert_by_critical_time
 
 
 class IncrementalSchedule:
-    """σ under construction, with O(log n) insertion-point probes.
+    """σ under construction, with bisected insertion-point probes.
 
-    Maintains three parallel arrays — jobs in critical-time order, their
-    critical times (for bisection), and the *sequentially folded*
-    predicted completion times at ``f_max``.  :meth:`try_insert` probes
-    feasibility of σ with a candidate added:
+    Maintains five parallel arrays, in critical-time order: the jobs,
+    their critical times (for bisection), the *sequentially folded*
+    predicted completion times at ``f_max``, and — written once when a
+    job is accepted — each job's execution time at ``f_max``
+    (``_durs[k] = remaining_budget / f_max``) and its termination
+    threshold (``_thrs[k] = termination − _deadline_slack``).
+    :meth:`try_insert` probes feasibility of σ with a candidate added:
 
     * the insertion position comes from ``bisect_right`` on the critical
       times (ties place the newcomer after existing entries, exactly
@@ -172,18 +177,26 @@ class IncrementalSchedule:
       unchanged, and σ's invariant (it only grows through accepted
       probes) guarantees they remain feasible — no re-check needed;
     * the candidate and the jobs *after* it are re-folded in the
-      reference accumulation order, so each comparison sees the same
-      floats :func:`schedule_feasible` would compute on the full walk.
+      reference accumulation order over the cached floats
+      (``t += _durs[k]; t >= _thrs[k]``), so each comparison sees the
+      same floats :func:`schedule_feasible` would compute on the full
+      walk.
+
+    The cached durations and thresholds assume every budget stays fixed
+    while one σ is built: no job's ``executed`` cycles, allocation or
+    termination may change between the first and the last probe.  That
+    holds because σ lives inside a single scheduler ``decide`` call,
+    during which the engine advances nothing.
 
     A probe that fails on the candidate's own completion costs O(log n);
-    an accepted or suffix-failing probe costs O(log n + |suffix|).
-    Because UER-ordered insertion tends to append near the tail of σ,
-    the suffix is typically empty and the amortized probe cost is
-    O(log n) — versus the reference's O(n) copy plus O(n) full re-walk
-    per candidate.
+    an accepted or suffix-failing probe also re-folds the suffix.  The
+    suffix is not typically empty: on the burst-overload workload (UAM
+    bursts at load 1.6, n≈92 ready jobs) σ holds 47 jobs and a probe
+    re-folds 15 of them on average, so the suffix loop, not the
+    bisection, is what a probe costs — hence the plain-float arrays.
     """
 
-    __slots__ = ("now", "f_max", "_jobs", "_crit", "_completions")
+    __slots__ = ("now", "f_max", "_jobs", "_crit", "_completions", "_durs", "_thrs")
 
     def __init__(self, now: float, f_max: float):
         self.now = now
@@ -191,6 +204,8 @@ class IncrementalSchedule:
         self._jobs: List[Job] = []
         self._crit: List[float] = []
         self._completions: List[float] = []
+        self._durs: List[float] = []
+        self._thrs: List[float] = []
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -215,41 +230,41 @@ class IncrementalSchedule:
     def try_insert(self, job: Job) -> int:
         """Insert ``job`` if σ stays feasible; return its position or -1.
 
-        On success σ is updated in place (position, critical-time and
-        completion arrays); on failure σ is untouched.  The verdict is
-        bit-identical to ``schedule_feasible(insert_by_critical_time(σ,
-        job), now, f_max)``.
+        On success σ is updated in place (all five arrays); on failure σ
+        is untouched.  The verdict is bit-identical to
+        ``schedule_feasible(insert_by_critical_time(σ, job), now,
+        f_max)``.
         """
         crit = self._crit
         pos = bisect_right(crit, job.critical_time)
-        f_max = self.f_max
         completions = self._completions
         t = completions[pos - 1] if pos else self.now
         # Inlined remaining_budget / _deadline_slack, as in job_feasible.
         # ``_allocation`` is the property's cache slot; ``None`` only
         # before first derivation, which setup() has already forced.
-        alloc = job.task._allocation
-        rb = (job.task.allocation if alloc is None else alloc) - job.executed
+        task = job.task
+        alloc = task._allocation
+        rb = (task.allocation if alloc is None else alloc) - job.executed
         if rb < 0.0:
             rb = 0.0
-        t += rb / f_max
+        dur = rb / self.f_max
         term = job.termination
         mag = term if term > 0.0 else -term
-        if t >= term - _EPS * (mag if mag > 1.0 else 1.0):
+        thr = term - _EPS * (mag if mag > 1.0 else 1.0)
+        t += dur
+        if t >= thr:
             return -1
+        durs = self._durs
+        thrs = self._thrs
         suffix = [t]
-        for other in self._jobs[pos:]:
-            alloc = other.task._allocation
-            rb = (other.task.allocation if alloc is None else alloc) - other.executed
-            if rb < 0.0:
-                rb = 0.0
-            t += rb / f_max
-            term = other.termination
-            mag = term if term > 0.0 else -term
-            if t >= term - _EPS * (mag if mag > 1.0 else 1.0):
+        for k in range(pos, len(durs)):
+            t += durs[k]
+            if t >= thrs[k]:
                 return -1
             suffix.append(t)
         self._jobs.insert(pos, job)
         crit.insert(pos, job.critical_time)
+        durs.insert(pos, dur)
+        thrs.insert(pos, thr)
         completions[pos:] = suffix
         return pos

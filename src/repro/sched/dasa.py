@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.feasibility import insert_by_critical_time, job_feasible, schedule_feasible
+from ..core.feasibility import IncrementalSchedule, job_feasible
 from ..core.offline import MIN_UER_CYCLES
 from ..obs import EventKind
 from ..sim.job import Job
@@ -86,16 +86,14 @@ class DASA(Scheduler):
 
         ranked.sort(key=lambda e: (-e[0], e[1], e[2].release, e[2].index))
 
-        sigma: List[Job] = []
+        sigma = IncrementalSchedule(t, f_max)
         for pud, _, job in ranked:
             if pud <= 0.0:
                 break
-            tentative = insert_by_critical_time(sigma, job)
-            if schedule_feasible(tentative, t, f_max):
-                sigma = tentative
+            if sigma.try_insert(job) >= 0:
                 if obs is not None:
                     obs.emit(t, EventKind.INSERT, job.key, source=self.name,
-                             pud=pud, sigma_len=len(tentative))
+                             pud=pud, sigma_len=len(sigma))
                     obs.inc("sigma_insertions")
             elif obs is not None:
                 obs.emit(t, EventKind.REJECT, job.key, source=self.name,
@@ -104,5 +102,4 @@ class DASA(Scheduler):
         if sp is not None:
             sp.exit()  # sched.dasa_construct
 
-        head = sigma[0] if sigma else None
-        return Decision(job=head, frequency=f, aborts=tuple(aborts))
+        return Decision(job=sigma.head, frequency=f, aborts=tuple(aborts))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs import EventKind
-from ..sim.scheduler import Decision, Scheduler, SchedulerView
+from ..sim.scheduler import Decision, Scheduler, SchedulerView, _pending_key
 from ..sim.job import Job
 
 __all__ = ["edf_pick", "EDFStatic"]
@@ -29,7 +29,7 @@ def edf_pick(view: SchedulerView) -> Optional[Job]:
     """
     if not view.ready:
         return None
-    return min(view.ready, key=lambda j: (j.critical_time, j.release, j.index))
+    return min(view.ready, key=_pending_key)
 
 
 class EDFStatic(Scheduler):

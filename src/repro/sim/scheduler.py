@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cpu import EnergyModel, FrequencyScale
@@ -78,9 +79,10 @@ class ArrivalWindow:
         return f"ArrivalWindow({list(self)!r})"
 
 
-#: Sort key shared by the cached and reference pending-job orderings.
-def _pending_key(job: Job) -> Tuple[float, float, int]:
-    return (job.critical_time, job.release, job.index)
+#: Pending-job order: ``(critical_time, release, index)``.  One C-level
+#: key shared by the cached and reference pending-job orderings and by
+#: EDF's pick (``_release`` is the slot behind ``Job.release``).
+_pending_key = attrgetter("critical_time", "_release", "index")
 
 
 def pending_of_reference(ready: Sequence[Job], task: Task) -> List[Job]:

@@ -11,7 +11,7 @@ from repro.core import (
     predicted_completions,
     schedule_feasible,
 )
-from repro.core.feasibility import _deadline_slack
+from repro.core.feasibility import _EPS, _deadline_slack
 from repro.arrivals import UAMSpec
 from repro.demand import DeterministicDemand
 from repro.sim import Job, Task
@@ -218,3 +218,93 @@ class TestIncrementalSchedule:
         j = _job("A", window=0.5)
         inc.try_insert(j)
         assert inc.head is j and len(inc) == 1
+
+
+def _arrays(inc):
+    """All five parallel arrays of an IncrementalSchedule, copied."""
+    return (list(inc._jobs), list(inc._crit), list(inc._completions),
+            list(inc._durs), list(inc._thrs))
+
+
+class TestIncrementalScheduleCachedArrays:
+    """The cached per-entry durations and termination thresholds."""
+
+    F_MAX = 1000.0
+
+    def _assert_matches_reference(self, inc, now):
+        jobs = inc.jobs
+        assert inc._crit == [j.critical_time for j in jobs]
+        assert inc._durs == [j.remaining_budget / self.F_MAX for j in jobs]
+        assert inc._thrs == [j.termination - _deadline_slack(j) for j in jobs]
+        assert inc.completions() == predicted_completions(jobs, now, self.F_MAX)
+
+    def test_rejected_on_candidate_leaves_arrays_untouched(self):
+        inc = IncrementalSchedule(0.0, self.F_MAX)
+        assert inc.try_insert(_job("A", window=0.3, mean=100.0)) == 0
+        assert inc.try_insert(_job("B", window=0.5, mean=100.0)) == 1
+        before = _arrays(inc)
+        # Inserted after A; its own completion 0.1 + 0.3 >= 0.35.
+        assert inc.try_insert(_job("C", window=0.35, mean=300.0)) == -1
+        assert _arrays(inc) == before
+
+    def test_rejected_mid_suffix_leaves_arrays_untouched(self):
+        inc = IncrementalSchedule(0.0, self.F_MAX)
+        assert inc.try_insert(_job("A", window=0.3, mean=100.0)) == 0
+        assert inc.try_insert(_job("B", window=0.25, mean=100.0)) == 0
+        assert inc.try_insert(_job("C", window=0.9, mean=100.0)) == 2
+        before = _arrays(inc)
+        # D goes first and fits (0.1 < 0.12), B still fits (0.2 < 0.25),
+        # but A is pushed to 0.3 and fails; C is never reached.
+        d = _job("D", window=0.12, mean=100.0)
+        assert job_feasible(d, 0.0, self.F_MAX)
+        assert not schedule_feasible(insert_by_critical_time(inc.jobs, d), 0.0, self.F_MAX)
+        assert inc.try_insert(d) == -1
+        assert _arrays(inc) == before
+        self._assert_matches_reference(inc, 0.0)
+
+    def test_executed_beyond_allocation_clamps_to_zero_duration(self):
+        inc = IncrementalSchedule(0.25, self.F_MAX)
+        a = _job("A", window=0.9, mean=100.0)
+        over = _job("B", window=0.5, mean=100.0)
+        over.executed = 150.0  # overran its budget: remaining clamps to 0
+        assert inc.try_insert(a) == 0
+        assert inc.try_insert(over) == 0
+        assert inc._durs[0] == 0.0
+        assert inc.completions()[0] == 0.25
+        self._assert_matches_reference(inc, 0.25)
+
+    @pytest.mark.parametrize("termination", [-0.5, -3.0, -2.0e6])
+    def test_negative_termination(self, termination):
+        job = _job("N", window=1.0, mean=10.0)
+        job.termination = termination
+        inc = IncrementalSchedule(-1.0e7, self.F_MAX)
+        ref_ok = schedule_feasible([job], -1.0e7, self.F_MAX)
+        assert (inc.try_insert(job) >= 0) == ref_ok
+        assert ref_ok
+        assert inc._thrs == [termination - _EPS * max(1.0, abs(termination))]
+        self._assert_matches_reference(inc, -1.0e7)
+
+    @pytest.mark.parametrize("offset", [1e-7, 1e-6, 2e-6, 3e-6, 1e-4])
+    def test_large_magnitude_terminations(self, offset):
+        # Slack 2e-6 s at termination 2e6 s: the cached threshold must
+        # keep the magnitude-scaled band.
+        big = _job("B", release=0.0, window=2.0e6, mean=1000.0)
+        now = 2.0e6 - 1.0 - offset
+        inc = IncrementalSchedule(now, self.F_MAX)
+        ref_ok = schedule_feasible([big], now, self.F_MAX)
+        assert (inc.try_insert(big) >= 0) == ref_ok
+        if ref_ok:
+            self._assert_matches_reference(inc, now)
+        else:
+            assert _arrays(inc) == ([], [], [], [], [])
+
+    def test_equal_critical_times_fold_in_insertion_order(self):
+        inc = IncrementalSchedule(0.0, self.F_MAX)
+        jobs = [_job(name, window=0.4, mean=100.0) for name in "ABC"]
+        assert [inc.try_insert(j) for j in jobs] == [0, 1, 2]
+        # A fourth equal-critical-time job goes last and overflows.
+        assert inc.try_insert(_job("D", window=0.4, mean=100.0)) == -1
+        # An earlier one goes first and pushes the equal-time suffix.
+        assert inc.try_insert(_job("E", window=0.1, mean=50.0)) == 0
+        assert [j.task.name for j in inc] == ["E", "A", "B", "C"]
+        self._assert_matches_reference(inc, 0.0)

@@ -31,9 +31,17 @@ from repro.core import (
     schedule_feasible_reference,
     uer_optimal_frequency,
 )
+from repro.core.feasibility import _deadline_slack
 from repro.cpu import EnergyModel, FrequencyScale, Processor
 from repro.demand import DeterministicDemand, NormalDemand
+from repro.sched import edf_pick
 from repro.sim import Engine, Job, Task, TaskSet, materialize
+from repro.sim.scheduler import (
+    SchedulerView,
+    SchedulingEvent,
+    _pending_key,
+    pending_of_reference,
+)
 from repro.tuf import LinearTUF, StepTUF
 
 
@@ -90,6 +98,12 @@ def _run(taskset, seed, policy, horizon=1.2, energy=None):
     return Engine(trace, policy, cpu, record_trace=True).run()
 
 
+def _arrays(inc):
+    """All five parallel arrays of an IncrementalSchedule, copied."""
+    return (list(inc._jobs), list(inc._crit), list(inc._completions),
+            list(inc._durs), list(inc._thrs))
+
+
 def _segments(result):
     return [(s.start, s.end, s.job_key, s.frequency) for s in result.trace.segments]
 
@@ -109,13 +123,19 @@ def test_incremental_probes_match_reference(pool):
     for job in jobs:
         tentative = insert_by_critical_time_reference(sigma, job)
         ref_ok = schedule_feasible_reference(tentative, now, f_max)
+        before = _arrays(inc)
         pos = inc.try_insert(job)
         assert (pos >= 0) == ref_ok
         if ref_ok:
             sigma = tentative
             assert sigma[pos] is job
+        else:
+            assert _arrays(inc) == before
         assert [j.key for j in inc] == [j.key for j in sigma]
         assert inc.completions() == predicted_completions(sigma, now, f_max)
+        # The cached per-entry floats are the reference's expressions.
+        assert inc._durs == [j.remaining_budget / f_max for j in sigma]
+        assert inc._thrs == [j.termination - _deadline_slack(j) for j in sigma]
 
 
 @given(job_pools())
@@ -265,3 +285,49 @@ def test_job_uer_reference_alias_identical(pool):
             assert job_uer(job, now, f, model) == job_uer_reference(
                 job, now, f, model
             )
+
+
+# ----------------------------------------------------------------------
+# The shared pending-order key vs the tuple form it replaced
+# ----------------------------------------------------------------------
+def _tuple_key(job):
+    """The pending order as the per-call tuple it used to be."""
+    return (job.critical_time, job.release, job.index)
+
+
+@st.composite
+def tied_ready_sets(draw):
+    """Jobs of two or three tasks drawn from a coarse grid of critical
+    times, releases and indices, so ties on every key component — within
+    one task and across tasks — are common."""
+    windows = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3]), min_size=2, max_size=3))
+    tasks = [
+        Task(f"T{i}", StepTUF(5.0, w), DeterministicDemand(10.0), UAMSpec(1, w))
+        for i, w in enumerate(windows)
+    ]
+    jobs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        task = draw(st.sampled_from(tasks))
+        release = draw(st.sampled_from([0.0, 0.1, 0.2]))
+        jobs.append(Job(task, draw(st.integers(min_value=0, max_value=2)), release, 10.0))
+    view = SchedulerView(
+        time=0.25, ready=jobs, taskset=TaskSet(tasks),
+        scale=FrequencyScale.powernow_k6(), energy_model=EnergyModel.e1(),
+        event=SchedulingEvent.ARRIVAL, arrivals_in_window={},
+    )
+    return tasks, jobs, view
+
+
+@given(tied_ready_sets())
+@settings(max_examples=80, deadline=None)
+def test_pending_key_orders_like_tuple_form(case):
+    tasks, jobs, view = case
+    assert [_pending_key(j) for j in jobs] == [_tuple_key(j) for j in jobs]
+    assert [id(j) for j in sorted(jobs, key=_pending_key)] == \
+        [id(j) for j in sorted(jobs, key=_tuple_key)]
+    assert edf_pick(view) is min(jobs, key=_tuple_key)
+    for task in tasks:
+        expected = sorted((j for j in jobs if j.task is task), key=_tuple_key)
+        assert [id(j) for j in view.pending_of(task)] == [id(j) for j in expected]
+        assert [id(j) for j in pending_of_reference(jobs, task)] == \
+            [id(j) for j in expected]
