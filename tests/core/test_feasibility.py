@@ -23,6 +23,12 @@ def _job(name="T", release=0.0, window=1.0, mean=100.0, demand=None):
     return Job(task, 0, release, demand if demand is not None else mean)
 
 
+def _arrays(inc):
+    """All five parallel arrays of an IncrementalSchedule, copied."""
+    return (list(inc._jobs), list(inc._crit), list(inc._completions),
+            list(inc._durs), list(inc._thrs))
+
+
 class TestJobFeasible:
     def test_feasible_with_slack(self):
         job = _job(mean=100.0, window=1.0)
@@ -200,9 +206,9 @@ class TestIncrementalSchedule:
         j2 = _job("B", window=0.2, mean=100.0)
         inc = IncrementalSchedule(0.0, 1000.0)
         assert inc.try_insert(j1) == 0
-        before = (inc.jobs, inc.completions())
-        assert inc.try_insert(j2) == -1
-        assert (inc.jobs, inc.completions()) == before
+        before = _arrays(inc)
+        assert inc.try_insert(j2) == -1  # fails on its own completion
+        assert _arrays(inc) == before
 
     def test_completions_match_predicted_completions(self):
         j1 = _job("A", window=1.0, mean=100.0)
@@ -220,12 +226,6 @@ class TestIncrementalSchedule:
         assert inc.head is j and len(inc) == 1
 
 
-def _arrays(inc):
-    """All five parallel arrays of an IncrementalSchedule, copied."""
-    return (list(inc._jobs), list(inc._crit), list(inc._completions),
-            list(inc._durs), list(inc._thrs))
-
-
 class TestIncrementalScheduleCachedArrays:
     """The cached per-entry durations and termination thresholds."""
 
@@ -237,15 +237,6 @@ class TestIncrementalScheduleCachedArrays:
         assert inc._durs == [j.remaining_budget / self.F_MAX for j in jobs]
         assert inc._thrs == [j.termination - _deadline_slack(j) for j in jobs]
         assert inc.completions() == predicted_completions(jobs, now, self.F_MAX)
-
-    def test_rejected_on_candidate_leaves_arrays_untouched(self):
-        inc = IncrementalSchedule(0.0, self.F_MAX)
-        assert inc.try_insert(_job("A", window=0.3, mean=100.0)) == 0
-        assert inc.try_insert(_job("B", window=0.5, mean=100.0)) == 1
-        before = _arrays(inc)
-        # Inserted after A; its own completion 0.1 + 0.3 >= 0.35.
-        assert inc.try_insert(_job("C", window=0.35, mean=300.0)) == -1
-        assert _arrays(inc) == before
 
     def test_rejected_mid_suffix_leaves_arrays_untouched(self):
         inc = IncrementalSchedule(0.0, self.F_MAX)
