@@ -1,14 +1,20 @@
-"""Runtime invariant checking — an engine hook layer (`repro.check`).
+"""Invariant checking — live decision hooks plus one post-hoc audit (`repro.check`).
 
 The :class:`InvariantChecker` attaches to a simulation the same way the
 adaptive runtime does: the engine holds an ``Optional[InvariantChecker]``
-and every hook site is guarded by a single ``is not None`` branch, so a
-detached checker costs nothing and an attached one observes — never
-influences — the run.  At every decision point it re-derives what a
-correct EUA* implementation *must* have done from first principles
-(reference feasibility walks, an independently coded UER formula, its
-own UAM sliding window, its own energy integration) and raises a typed
-:class:`InvariantViolation` on the first disagreement.
+and each of its two hook sites (``on_release``, ``on_decision``) is
+guarded by a single ``is not None`` branch, so a detached checker costs
+nothing and an attached one observes — never influences — the run.  At
+every decision point it re-derives what a correct EUA* implementation
+*must* have done from first principles (reference feasibility walks, an
+independently coded UER formula, its own UAM sliding window).  Those
+checks stay live because they need the :class:`SchedulerView` of the
+moment.  Everything else is a fact about the finished schedule, so the
+engine hands its result to :meth:`InvariantChecker.audit` once at the
+end of the run, which runs :func:`repro.check.audit.audit` (timeline
+tiling, execution windows, cycle/energy conservation, utility accrual,
+metrics, MP1–MP5) over the recorded segments.  The first disagreement
+raises a typed :class:`InvariantViolation` (or is collected).
 
 Independence matters: the checker deliberately re-implements the
 boundary arithmetic it audits (UAM window tolerance, the UER metric)
@@ -16,7 +22,8 @@ instead of importing the production helpers, so a bug — or a seeded
 mutation (:mod:`repro.check.mutations`) — in the production code cannot
 silently patch both sides of the comparison.
 
-Invariant catalogue (see ``docs/testing.md`` for the narrative):
+Live invariant catalogue (the post-hoc keys are listed in
+:mod:`repro.check.audit`; see ``docs/testing.md`` for the narrative):
 
 ===================  ========================================================
 key                  asserts
@@ -40,17 +47,12 @@ key                  asserts
 ``edf_equivalence``  Theorem 2: under periodic step-TUF underload (with the
                      deterministic DVS method) σ holds every ready job and
                      the head has the earliest critical time
-``time_monotonic``   execution segments never run backwards
-``utility_accrual``  accrued utility equals ``U(completion)`` in ``[0, Umax]``
-``energy_conservation``  per-slice ``E(f)`` sums equal the engine totals
-``metrics_consistency``  metrics re-derive from the final job population
 ===================  ========================================================
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..cpu import Processor
@@ -59,7 +61,7 @@ from ..sim.job import Job, JobStatus
 from ..sim.scheduler import Decision, Scheduler, SchedulerView
 from ..sim.task import TaskSet
 
-__all__ = ["InvariantViolation", "InvariantConfig", "InvariantChecker"]
+__all__ = ["InvariantViolation", "InvariantChecker"]
 
 #: Relative tolerance for re-derived float comparisons (energy, utility).
 _TOL = 1e-9
@@ -96,43 +98,28 @@ class InvariantViolation(RuntimeError):
         super().__init__(f"[{invariant}] t={time:.9g}{where}: {detail}")
 
 
-@dataclass
-class InvariantConfig:
-    """Per-invariant-group toggles (all on by default)."""
-
-    check_uam: bool = True
-    check_decisions: bool = True
-    check_sigma: bool = True
-    check_frequency: bool = True
-    check_energy: bool = True
-    check_utility: bool = True
-    check_params: bool = True
-    check_edf_equivalence: bool = True
-
-
 class InvariantChecker:
     """Observe-only auditor of a single simulation run.
 
     Parameters
     ----------
-    config:
-        Which invariant groups to evaluate.
     mode:
         ``"raise"`` (default) raises the first :class:`InvariantViolation`;
         ``"collect"`` accumulates them in :attr:`violations` and lets the
         run complete (the fuzzer's mode).
 
-    A checker is single-use per run: the engine calls :meth:`bind` before
-    the main loop, the ``on_*`` hooks during it, and :meth:`on_result`
-    after.  Violations are also emitted as ``invariant_violation``
-    events on the attached observer, so a clean run's event log is
-    bit-identical with or without the checker.
+    A checker audits one run: the engine calls :meth:`bind` before the
+    main loop, the two ``on_*`` hooks during it, and :meth:`audit` once
+    over the finished result.  A partitioned run binds it once per core
+    and audits the combined result, so :attr:`violations` accumulate
+    across binds.  Violations are also emitted as
+    ``invariant_violation`` events on the attached observer, so a clean
+    run's event log is bit-identical with or without the checker.
     """
 
-    def __init__(self, config: Optional[InvariantConfig] = None, mode: str = "raise"):
+    def __init__(self, mode: str = "raise"):
         if mode not in ("raise", "collect"):
             raise ValueError(f"mode must be 'raise' or 'collect', got {mode!r}")
-        self.config = config if config is not None else InvariantConfig()
         self.mode = mode
         self.violations: List[InvariantViolation] = []
         self._taskset: Optional[TaskSet] = None
@@ -142,9 +129,6 @@ class InvariantChecker:
         self._model = None
         self._idle_power = 0.0
         self._uam: Dict[str, Deque[float]] = {}
-        self._busy_energy = 0.0
-        self._idle_time = 0.0
-        self._last_segment_end = 0.0
         self._params_checked = False
         self._edf_equiv_active = False
 
@@ -160,7 +144,8 @@ class InvariantChecker:
         scheduler: Scheduler,
         observer: Optional[Observer],
     ) -> None:
-        """Reset per-run state and validate the static task model."""
+        """Reset per-engine state (partitioned: once per core) and
+        validate the static task model."""
         self._taskset = taskset
         self._scheduler = scheduler
         self._observer = observer
@@ -168,32 +153,26 @@ class InvariantChecker:
         self._model = processor.model
         self._idle_power = processor.idle_power
         self._uam = {t.name: deque() for t in taskset}
-        self._busy_energy = 0.0
-        self._idle_time = 0.0
-        self._last_segment_end = 0.0
         self._params_checked = False
-        self.violations = []
         self._edf_equiv_active = self._edf_equivalence_applies()
         for task in taskset:
-            if self.config.check_params:
-                if not task.allocation > 0.0:
-                    self._violate(
-                        "task_params", 0.0,
-                        f"task {task.name!r}: allocation {task.allocation} <= 0")
-                if not (0.0 < task.critical_time <= task.tuf.termination + _TOL):
-                    self._violate(
-                        "task_params", 0.0,
-                        f"task {task.name!r}: critical time {task.critical_time} "
-                        f"outside (0, {task.tuf.termination}]")
-            if self.config.check_utility:
-                if task.tuf.max_utility < 0.0:
-                    self._violate(
-                        "tuf_shape", 0.0,
-                        f"task {task.name!r}: negative max utility {task.tuf.max_utility}")
-                if not task.tuf.is_non_increasing():
-                    self._violate(
-                        "tuf_shape", 0.0,
-                        f"task {task.name!r}: TUF is not non-increasing")
+            if not task.allocation > 0.0:
+                self._violate(
+                    "task_params", 0.0,
+                    f"task {task.name!r}: allocation {task.allocation} <= 0")
+            if not (0.0 < task.critical_time <= task.tuf.termination + _TOL):
+                self._violate(
+                    "task_params", 0.0,
+                    f"task {task.name!r}: critical time {task.critical_time} "
+                    f"outside (0, {task.tuf.termination}]")
+            if task.tuf.max_utility < 0.0:
+                self._violate(
+                    "tuf_shape", 0.0,
+                    f"task {task.name!r}: negative max utility {task.tuf.max_utility}")
+            if not task.tuf.is_non_increasing():
+                self._violate(
+                    "tuf_shape", 0.0,
+                    f"task {task.name!r}: TUF is not non-increasing")
 
     def _edf_equivalence_applies(self) -> bool:
         """Theorem 2 preconditions, decided once per run (see catalogue).
@@ -204,8 +183,6 @@ class InvariantChecker:
         demand method); the lookahead arm is covered by the fuzzer's
         cross-scheduler dominance oracle instead.
         """
-        if not self.config.check_edf_equivalence:
-            return False
         sched = self._scheduler
         from ..core.eua import EUAStar  # local: engine imports run before core
 
@@ -227,13 +204,16 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def _violate(self, invariant: str, time: float, detail: str,
                  job: Optional[str] = None) -> None:
-        violation = InvariantViolation(invariant, time, detail, job)
+        self._report(InvariantViolation(invariant, time, detail, job))
+
+    def _report(self, violation: InvariantViolation) -> None:
         self.violations.append(violation)
         obs = self._observer
         if obs is not None:
-            obs.emit(time, EventKind.INVARIANT_VIOLATION, job, source="check",
-                     invariant=invariant, detail=detail)
-            obs.inc("invariant_violations", invariant=invariant)
+            obs.emit(violation.time, EventKind.INVARIANT_VIOLATION, violation.job,
+                     source="check", invariant=violation.invariant,
+                     detail=violation.detail)
+            obs.inc("invariant_violations", invariant=violation.invariant)
         if self.mode == "raise":
             raise violation
 
@@ -242,8 +222,6 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def on_release(self, job: Job, time: float) -> None:
         """UAM envelope compliance of the admitted release stream."""
-        if not self.config.check_uam:
-            return
         task = job.task
         dq = self._uam[task.name]
         window = task.uam.window
@@ -261,13 +239,11 @@ class InvariantChecker:
 
     def on_decision(self, view: SchedulerView, decision: Decision,
                     scheduler: Scheduler) -> None:
-        if not self.config.check_decisions:
-            return
         t = view.time
         ready_ids = {id(j) for j in view.ready}
         job = decision.job
         if job is not None:
-            if self.config.check_frequency and decision.frequency not in view.scale:
+            if decision.frequency not in view.scale:
                 self._violate(
                     "frequency_in_scale", t,
                     f"dispatch frequency {decision.frequency!r} is not a level "
@@ -289,7 +265,7 @@ class InvariantChecker:
                     job=aborted.key)
         from ..core.eua import EUAStar
 
-        if self.config.check_sigma and isinstance(scheduler, EUAStar):
+        if isinstance(scheduler, EUAStar):
             self._check_eua_decision(view, decision, scheduler)
 
     # ------------------------------------------------------------------
@@ -307,7 +283,7 @@ class InvariantChecker:
         f_m = view.scale.f_max
         model = view.energy_model
 
-        if self.config.check_params and not self._params_checked:
+        if not self._params_checked:
             self._params_checked = True
             reference = offline_computing_reference(self._taskset, view.scale, model)
             for name, expected in reference.items():
@@ -376,8 +352,7 @@ class InvariantChecker:
                     "head_feasible", t,
                     "dispatched job cannot finish its budget at f_max",
                     job=decision.job.key)
-            if (self.config.check_frequency and scheduler.use_dvs
-                    and scheduler.use_fopt_bound):
+            if scheduler.use_dvs and scheduler.use_fopt_bound:
                 params = scheduler.params.get(decision.job.task.name)
                 if params is not None and decision.frequency < params.optimal_frequency:
                     self._violate(
@@ -386,7 +361,7 @@ class InvariantChecker:
                         f"f°={params.optimal_frequency} of task "
                         f"{decision.job.task.name!r}",
                         job=decision.job.key)
-            if self.config.check_frequency and scheduler.use_dvs:
+            if scheduler.use_dvs:
                 from ..core.decide_freq import (
                     required_rate_demand,
                     required_rate_lookahead,
@@ -424,77 +399,18 @@ class InvariantChecker:
                         job=expected_head.key)
 
     # ------------------------------------------------------------------
-    def on_segment(self, start: float, end: float, frequency: float,
-                   executed: float) -> None:
-        """Independent energy integration over one busy slice."""
-        if not self.config.check_energy:
-            return
-        if end < start - _TOL * max(1.0, abs(start)):
-            self._violate("time_monotonic", start,
-                          f"segment runs backwards: [{start}, {end}]")
-        self._last_segment_end = end
-        self._busy_energy += executed * self._model.energy_per_cycle(frequency)
+    def audit(self, result, observer: Optional[Observer]) -> None:
+        """Audit the finished run once (:func:`repro.check.audit.audit`).
 
-    def on_idle(self, duration: float) -> None:
-        if not self.config.check_energy:
-            return
-        self._idle_time += duration
+        ``result`` is the outermost result of the run — a partitioned
+        run's combined one, not each core's — and its violations are
+        emitted on ``observer``, the run's own.
+        """
+        from .audit import audit  # local: the audit module imports this one
 
-    def on_completion(self, job: Job, time: float) -> None:
-        """TUF consistency of accrued utility at completion."""
-        if not self.config.check_utility:
-            return
-        expected = job.utility_at(time)
-        tol = _TOL * max(1.0, abs(expected))
-        if abs(job.accrued_utility - expected) > tol:
-            self._violate(
-                "utility_accrual", time,
-                f"accrued {job.accrued_utility} != U(completion) {expected}",
-                job=job.key)
-        if not (-tol <= job.accrued_utility <= job.max_utility + _TOL * max(1.0, job.max_utility)):
-            self._violate(
-                "utility_accrual", time,
-                f"accrued {job.accrued_utility} outside [0, {job.max_utility}]",
-                job=job.key)
-
-    # ------------------------------------------------------------------
-    def on_result(self, result) -> None:
-        """Conservation checks over the finished run."""
-        stats = result.processor_stats
-        t_end = result.horizon
-        if self.config.check_energy:
-            tol = _TOL * max(1.0, abs(stats.energy))
-            if abs(self._busy_energy - stats.energy) > tol:
-                self._violate(
-                    "energy_conservation", t_end,
-                    f"per-slice E(f) sum {self._busy_energy} != processor busy "
-                    f"energy {stats.energy}")
-            expected_idle = self._idle_power * self._idle_time
-            tol = _TOL * max(1.0, abs(stats.idle_energy))
-            if abs(expected_idle - stats.idle_energy) > tol:
-                self._violate(
-                    "energy_conservation", t_end,
-                    f"idle energy {stats.idle_energy} != idle_power×idle_time "
-                    f"{expected_idle}")
-        if self.config.check_utility:
-            accrued = sum(j.accrued_utility for j in result.jobs)
-            tol = _TOL * max(1.0, abs(accrued))
-            if abs(accrued - result.metrics.accrued_utility) > tol:
-                self._violate(
-                    "metrics_consistency", t_end,
-                    f"metrics accrued utility {result.metrics.accrued_utility} != "
-                    f"job-population sum {accrued}")
-            counts = {
-                "completed": sum(1 for j in result.jobs if j.status is JobStatus.COMPLETED),
-                "aborted": sum(1 for j in result.jobs if j.status is JobStatus.ABORTED),
-                "expired": sum(1 for j in result.jobs if j.status is JobStatus.EXPIRED),
-            }
-            for key, count in counts.items():
-                if count != getattr(result.metrics, key):
-                    self._violate(
-                        "metrics_consistency", t_end,
-                        f"metrics {key}={getattr(result.metrics, key)} != "
-                        f"recount {count}")
+        self._observer = observer
+        for violation in audit(result, self._model, self._idle_power):
+            self._report(violation)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"InvariantChecker(mode={self.mode!r}, "

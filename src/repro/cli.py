@@ -49,6 +49,7 @@ from .experiments import (
     check_assurances,
     check_edf_equivalence,
     energy_setting,
+    multicore_units,
     run_figure2,
     run_figure3,
     run_multicore,
@@ -115,16 +116,12 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
 def _cmd_mp(args: argparse.Namespace) -> int:
     if args.smoke:
         # CI gate: a tiny m=2 campaign exercising both execution models
-        # end to end (partition, engines, invariants, normalisation).
-        result = run_multicore(
-            energy_setting_name=args.energy,
-            cores=(2,),
-            modes=("partitioned", "global"),
-            loads=(0.8,),
-            seeds=(11,),
-            horizon=0.3,
-            workers=1,
-        )
+        # end to end (partition, engines, normalisation), then every arm
+        # again under a collecting invariant checker.
+        smoke = dict(energy_setting_name=args.energy, cores=(2,),
+                     modes=("partitioned", "global"), loads=(0.8,), seeds=(11,),
+                     horizon=0.3)
+        result = run_multicore(**smoke, workers=1)
         print(f"mp smoke — energy setting {result.energy_setting} (m=2, load 0.8)")
         print(
             ascii_table(
@@ -133,7 +130,7 @@ def _cmd_mp(args: argparse.Namespace) -> int:
                  "norm_utility", "norm_energy", "migrations"],
             )
         )
-        return 0
+        return _audit_mp_units(multicore_units(**smoke))
     result = run_multicore(
         energy_setting_name=args.energy,
         cores=tuple(args.cores or MULTICORE_CORES),
@@ -281,22 +278,24 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    import numpy as np
+def _audit_mp_units(units) -> int:
+    """Re-run every arm of ``units`` under a collecting checker; 1 on any violation."""
+    from .check import InvariantChecker
+    from .mp import simulate_mp
 
-    from .experiments import synthesize_taskset
-    from .sim import Platform, materialize, simulate, validate_result
-
-    rng = np.random.default_rng(args.seed)
-    taskset = synthesize_taskset(args.load, rng)
-    trace = materialize(taskset, args.horizon, rng)
-    platform = Platform(energy_model=energy_setting(args.energy))
-    result = simulate(trace, make_scheduler(args.scheduler), platform,
-                      record_trace=True)
-    report = validate_result(result, platform.energy_model)
-    print(f"scheduler={args.scheduler} load={args.load} jobs={len(trace)}")
-    print(f"validation: {report}")
-    return 0 if report.ok else 1
+    found = 0
+    for unit in units:
+        _taskset, trace = unit.workload.build()
+        platform = unit.platform.build_mp()
+        for spec in unit.schedulers:
+            checker = InvariantChecker(mode="collect")
+            simulate_mp(trace, spec.build, platform, mode=unit.platform.mp_mode,
+                        strategy=unit.platform.partition_strategy, checker=checker)
+            for violation in checker.violations:
+                print(f"  {unit.platform.mp_mode} {spec.display_name}: {violation}")
+            found += len(checker.violations)
+    print(f"invariants: {found} violation(s)" if found else "invariants: all clean")
+    return 1 if found else 0
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
@@ -849,7 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "m=1 column bit-identical to figure2")
     pmp.add_argument("--smoke", action="store_true",
                      help="tiny m=2 campaign (both modes, one load, one seed) "
-                          "for CI smoke testing; ignores the sweep options")
+                          "for CI smoke testing, every arm audited by the "
+                          "invariant checker (exit 1 on a violation); ignores "
+                          "the sweep options")
     pmp.add_argument("--svg", help="write SVG charts to <base>_{utility,energy}.svg")
     common(pmp)
     pmp.set_defaults(func=_cmd_mp)
@@ -885,14 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     workers_opt(pa)
     pa.set_defaults(func=_cmd_ablate)
 
-    pv = sub.add_parser("validate", help="audit a traced run with the validator")
-    pv.add_argument("--scheduler", default="EUA*")
-    pv.add_argument("--load", type=float, default=0.8)
-    pv.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-    pv.add_argument("--horizon", type=float, default=2.0)
-    pv.add_argument("--seed", type=int, default=11)
-    pv.set_defaults(func=_cmd_validate)
-
     px = sub.add_parser("sensitivity", help="parameter-sensitivity sweeps")
     px.add_argument("which", choices=["rho", "size", "ladder"])
     px.add_argument("--seeds", type=int, nargs="*")
@@ -921,7 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(0 shows all)")
     ptr.set_defaults(func=_cmd_trace)
 
-    pck = sub.add_parser("check", help="audit one run with the invariant checker, "
+    pck = sub.add_parser("check", help="audit one run with the invariant checker "
+                                       "(live decision checks + post-hoc audit), "
                                        "or replay fuzz-corpus cases")
     obs_common(pck)
     pck.add_argument("--arrivals", default=_arrival_shape_arg("periodic"),

@@ -30,12 +30,19 @@ uncore term is folded into the combined ``idle_energy`` so existing
 aggregate consumers (``Metrics``, normalisers, campaigns) see it
 without modification; ``active_power = 0`` (the default) keeps m=1 runs
 exact.
+
+Checking: an :class:`~repro.check.InvariantChecker` attaches in both
+modes.  Its release and decision hooks run live (in each core's engine
+when partitioned, in the shared loop when global), and
+:func:`repro.check.audit` then audits the packed
+:class:`MPSimulationResult` once — per-core tiling, job windows, cycle
+and energy conservation, and the cross-core invariants MP1–MP5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from ..cpu import (
     EnergyModel,
@@ -55,6 +62,9 @@ from ..sim.task import TaskSet
 from ..sim.trace import Segment
 from ..sim.workload import WorkloadTrace
 from .partition import Partition, partition_taskset
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (check imports sim)
+    from ..check import InvariantChecker
 
 __all__ = [
     "MulticorePlatform",
@@ -189,7 +199,8 @@ class MPSimulationResult:
     core_of_task: Optional[Dict[str, int]] = None
     partition: Optional[Partition] = None
     #: Per-core execution segments, each core's ``Trace.segments``
-    #: (always for global; for partitioned only when ``record_trace=True``).
+    #: (always for global; for partitioned only when ``record_trace=True``
+    #: or a checker is attached).
     core_segments: Optional[List[List[Segment]]] = None
     per_core_results: Optional[List[Optional[SimulationResult]]] = None
     configuration: Optional[MPConfiguration] = None
@@ -237,9 +248,8 @@ def simulate_partitioned(
     strategy: str = "wfd",
     auto_cores: bool = False,
     observer: Optional[Observer] = None,
-    check: bool = False,
     record_trace: bool = False,
-    checker=None,
+    checker: Optional[InvariantChecker] = None,
 ) -> MPSimulationResult:
     """Partitioned multicore run: m independent uniprocessor engines.
 
@@ -250,13 +260,9 @@ def simulate_partitioned(
     With ``auto_cores=True`` the minimum-energy feasible active-core
     count from :func:`~repro.cpu.min_energy_configuration` bounds the
     partition; cores beyond it are powered down (no idle or uncore
-    energy).  ``check=True`` attaches a per-core
-    :class:`~repro.check.InvariantChecker` — the per-core σ/UER
-    reconstruction of the multicore invariant suite.  Alternatively
-    pass an explicit ``checker`` instance to share across cores: the
-    engines bind it sequentially (each bind resets its per-run state)
-    and the violations of every core are accumulated back onto it, so
-    collect-mode auditing sees the whole platform.
+    energy).  A ``checker`` watches every core's releases and decisions
+    (each core's engine binds it in turn) and then audits the combined
+    result once; it implies ``record_trace``.
     """
     factory = _scheduler_factory(scheduler)
     taskset = workload.taskset
@@ -273,16 +279,7 @@ def simulate_partitioned(
     for spec in workload:
         by_spec[spec.task.name].append(spec)
 
-    checker_factory = None
-    if checker is not None:
-        def checker_factory():  # shared instance, rebound per core
-            return checker
-    elif check:
-        from ..check import InvariantChecker
-
-        checker_factory = InvariantChecker
-    collected_violations: List = []
-
+    record_trace = record_trace or checker is not None
     scheduler_name: Optional[str] = None
     per_core_stats: List[ProcessorStats] = []
     per_core_results: List[Optional[SimulationResult]] = []
@@ -312,24 +309,19 @@ def simulate_partitioned(
             platform.processor(),
             record_trace=record_trace,
             observer=_CoreObserver(observer, core) if observer is not None else None,
-            checker=checker_factory() if checker_factory is not None else None,
+            checker=checker,
         )
-        result = engine.run()
-        if checker is not None:
-            collected_violations.extend(checker.violations)
+        result = engine._execute()
         per_core_stats.append(result.processor_stats)
         per_core_results.append(result)
         all_jobs.extend(result.jobs)
         if core_segments is not None:
             core_segments.append(result.trace.segments)
 
-    if checker is not None:
-        checker.violations = collected_violations
-
     uncore_energy = platform.active_power * active * horizon
     combined = _combine_stats(per_core_stats, uncore_energy)
     metrics = Metrics(taskset, all_jobs, combined, horizon)
-    return MPSimulationResult(
+    result = MPSimulationResult(
         scheduler_name=scheduler_name if scheduler_name is not None else "scheduler",
         mode="partitioned",
         cores=platform.cores,
@@ -346,6 +338,9 @@ def simulate_partitioned(
         per_core_results=per_core_results,
         configuration=configuration,
     )
+    if checker is not None:
+        checker.audit(result, observer)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +353,10 @@ class GlobalEngine(Engine):
     platform's m cores and packs the per-core accounting (stats, uncore
     energy, execution segments, migrations) into an
     :class:`MPSimulationResult`.  Each core's
-    :class:`~repro.sim.trace.Trace` is always recorded: the multicore
-    invariant suite audits its segments.  At ``m = 1`` the loop's
+    :class:`~repro.sim.trace.Trace` is always recorded (the result's
+    ``core_segments``).  An attached checker watches releases and
+    decisions in the shared loop and audits the packed result, exactly
+    as it does a uniprocessor run.  At ``m = 1`` the loop's
     dispatch step is a single ``decide`` call, so the float stream is
     bit-identical to the uniprocessor engine (pinned in
     ``tests/properties/test_mp_equivalence.py``).
@@ -376,6 +373,7 @@ class GlobalEngine(Engine):
         scheduler: Scheduler,
         platform: MulticorePlatform,
         observer: Optional[Observer] = None,
+        checker: Optional[InvariantChecker] = None,
     ):
         if platform.switch_time > 0.0:
             raise SimulationError(
@@ -389,11 +387,19 @@ class GlobalEngine(Engine):
             [platform.processor() for _ in range(platform.cores)],
             record_trace=True,
             observer=observer,
+            checker=checker,
         )
         self.platform = platform
 
     def run(self) -> MPSimulationResult:
-        jobs = self._run()
+        """:meth:`Engine.run` over all m cores, returning the packed result.
+
+        Defined on this class so the global driver can be wrapped by
+        name (``benchmarks/suite/tracing.py`` spans it).
+        """
+        return super().run()
+
+    def _result(self, jobs: List[Job]) -> MPSimulationResult:
         m = len(self.cores)
         horizon = self.workload.horizon
         per_core_stats = [cpu.stats for cpu in self.cores]
@@ -419,10 +425,11 @@ def simulate_global(
     scheduler: SchedulerSpecLike,
     platform: MulticorePlatform,
     observer: Optional[Observer] = None,
+    checker: Optional[InvariantChecker] = None,
 ) -> MPSimulationResult:
     """Global multicore run over ``workload`` (see :class:`GlobalEngine`)."""
     sched = _scheduler_factory(scheduler)()
-    return GlobalEngine(workload, sched, platform, observer=observer).run()
+    return GlobalEngine(workload, sched, platform, observer=observer, checker=checker).run()
 
 
 # ----------------------------------------------------------------------
@@ -434,42 +441,26 @@ def simulate_mp(
     strategy: str = "wfd",
     auto_cores: bool = False,
     observer: Optional[Observer] = None,
-    check: bool = False,
     record_trace: bool = False,
-    checker=None,
+    checker: Optional[InvariantChecker] = None,
 ) -> MPSimulationResult:
     """Run a multicore simulation in ``mode`` ("partitioned"/"global").
 
-    ``check=True`` additionally runs the multicore invariant suite on
-    the finished result (:func:`repro.check.check_mp_result`) — and, in
-    partitioned mode, a per-core uniprocessor
-    :class:`~repro.check.InvariantChecker` during the run.  A shared
-    ``checker`` instance (partitioned mode only) audits every core and
-    accumulates violations across them.
+    An attached ``checker`` (:class:`~repro.check.InvariantChecker`)
+    watches every release and decision and audits the finished result
+    once, in either mode (:func:`repro.check.audit`).
     """
     if mode not in MP_MODES:
         raise ValueError(f"unknown mp mode {mode!r}; choose from {MP_MODES}")
     if mode == "partitioned":
-        result = simulate_partitioned(
+        return simulate_partitioned(
             workload,
             scheduler,
             platform,
             strategy=strategy,
             auto_cores=auto_cores,
             observer=observer,
-            check=check,
             record_trace=record_trace,
             checker=checker,
         )
-    else:
-        if checker is not None:
-            raise SimulationError(
-                "global mode has no per-core InvariantChecker hooks; "
-                "use check=True for the multicore invariant suite"
-            )
-        result = simulate_global(workload, scheduler, platform, observer=observer)
-    if check:
-        from ..check import check_mp_result
-
-        check_mp_result(result)
-    return result
+    return simulate_global(workload, scheduler, platform, observer=observer, checker=checker)

@@ -7,7 +7,6 @@ from .metrics import Metrics, TaskMetrics
 from .runner import Platform, compare, simulate
 from .task import Task, TaskModelError, TaskSet
 from .trace import Segment, Trace
-from .validation import ValidationReport, validate_result
 from .workload import JobSpec, WorkloadTrace, materialize
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "Platform",
     "simulate",
     "compare",
-    "ValidationReport",
-    "validate_result",
     "Clock",
     "ClockDrift",
     "SimClock",

@@ -218,8 +218,9 @@ class Engine:
     Each fact the loop records lives in one place: lifecycle events in
     the observer's :class:`~repro.obs.EventLog`, execution segments in
     one :class:`~repro.sim.trace.Trace` per core (:attr:`traces`, kept
-    when ``record_trace`` is set; :class:`~repro.mp.GlobalEngine` always
-    sets it), completions in the returned job list.
+    when ``record_trace`` is set or a checker is attached;
+    :class:`~repro.mp.GlobalEngine` always keeps them), completions in
+    the returned job list.
     """
 
     def __init__(
@@ -258,41 +259,48 @@ class Engine:
         #: a non-virtual clock (``"wall"``) makes the loop *wait* for
         #: each event instant before applying it (see repro.sim.clock).
         self.clock = as_clock(clock)
-        #: Execution timeline of each core.
+        #: Execution timeline of each core (the checker's audit reads it).
         self.traces: Optional[List[Trace]] = (
-            [Trace() for _ in self.cores] if record_trace else None
+            [Trace() for _ in self.cores]
+            if record_trace or checker is not None
+            else None
         )
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Execute the simulation.
+        """Execute the simulation; an attached checker then audits it."""
+        result = self._execute()
+        if self.checker is not None:
+            self.checker.audit(result, self.observer)
+        return result
 
-        With an adaptive runtime attached the main loop is wrapped in
-        ``try/finally`` so ``runtime.finalize()`` always restores the
-        task allocations the runtime may have mutated — even when the
-        run raises — keeping task sets safe to share across arms.
+    def _execute(self) -> SimulationResult:
+        """Bind the checker and runtime, run the loop, pack the result.
+
+        No audit: :meth:`run` adds it, and a partitioned run audits its
+        combined result instead of each core's.  With an adaptive
+        runtime attached the main loop is wrapped in ``try/finally`` so
+        ``runtime.finalize()`` always restores the task allocations the
+        runtime may have mutated — even when the run raises — keeping
+        task sets safe to share across arms.
         """
         ck = self.checker
         if ck is not None:
             ck.bind(self.workload.taskset, self.processor, self.scheduler, self.observer)
         rt = self.runtime
         if rt is None:
-            result = self._result(self._run())
-        else:
-            rt.bind(
-                self.workload.taskset,
-                self.processor.scale,
-                self.processor.model,
-                self.scheduler,
-                self.observer,
-            )
-            try:
-                result = self._result(self._run())
-            finally:
-                rt.finalize()
-        if ck is not None:
-            ck.on_result(result)
-        return result
+            return self._result(self._run())
+        rt.bind(
+            self.workload.taskset,
+            self.processor.scale,
+            self.processor.model,
+            self.scheduler,
+            self.observer,
+        )
+        try:
+            return self._result(self._run())
+        finally:
+            rt.finalize()
 
     def _result(self, jobs: List[Job]) -> SimulationResult:
         stats = self.processor.stats
@@ -368,8 +376,9 @@ class Engine:
         # ordered by their granted release instant (seq breaks ties —
         # jobs are not comparable).
         rt = self.runtime
-        # Invariant checker (optional): observe-only hooks, same
-        # zero-cost-when-detached contract as `obs` and `rt`.
+        # Invariant checker (optional): observe-only release and decision
+        # hooks, same zero-cost-when-detached contract as `obs` and `rt`;
+        # everything else it checks is audited after the run.
         ck = self.checker
         # Real-time driver (optional): with a non-virtual clock attached
         # the loop waits for each event instant (arrival, predicted
@@ -560,12 +569,11 @@ class Engine:
                 switch_overhead = cpu.set_frequency(freq)
                 if switch_overhead > 0.0:
                     # Charge the DVS transition as stalled (non-executing)
-                    # time, recorded as idle; only a uniprocessor can have
-                    # one (GlobalEngine rejects switch_time > 0).
-                    cpu.idle(switch_overhead)
-                    if ck is not None:
-                        ck.on_idle(switch_overhead)
+                    # time, recorded as idle and clamped at the horizon;
+                    # only a uniprocessor can have one (GlobalEngine
+                    # rejects switch_time > 0).
                     t_stalled = min(horizon, t + switch_overhead)
+                    cpu.idle(t_stalled - t)
                     if traces is not None:
                         traces[k].add_segment(t, t_stalled, None, cpu.frequency)
                     t = t_stalled
@@ -635,14 +643,9 @@ class Engine:
                                          core=k, previous_core=prev_core)
                                 obs.inc("migrations", task=job.task.name)
                         last_exec_core[id(job)] = k
-                    executed = cpu.run(dt)
-                    job.executed += executed
-                    if ck is not None:
-                        ck.on_segment(t, t_next, cpu.frequency, executed)
+                    job.executed += cpu.run(dt)
                 else:
                     cpu.idle(dt)
-                    if ck is not None:
-                        ck.on_idle(dt)
                 if traces is not None:
                     traces[k].add_segment(
                         t, t_next, job.key if job is not None else None, cpu.frequency
@@ -669,8 +672,6 @@ class Engine:
                 job.completion_time = t
                 job.accrued_utility = job.utility_at(t)
                 ready.remove(job)
-                if ck is not None:
-                    ck.on_completion(job, t)
                 scheduler.on_completion(job, t)
                 if rt is not None:
                     rt.on_completion(job, t)

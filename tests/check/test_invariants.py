@@ -2,20 +2,21 @@
 
 Each test plants one specific defect — a corrupt decision, a
 UAM-violating release stream, doctored accounting — and asserts the
-checker raises (or collects) a violation with the right catalogue key.
+checker (or, for a doctored finished result, the post-hoc audit)
+raises or collects a violation with the right catalogue key.
 """
 
 import numpy as np
 import pytest
 
-from repro.check import InvariantChecker, InvariantViolation
+from repro.check import InvariantChecker, InvariantViolation, audit
 from repro.core.eua import EUAStar
 from repro.core.offline import TaskParams
 from repro.demand import DeterministicDemand
 from repro.obs import Observer
 from repro.sched import make_scheduler
 from repro.sim import Platform, materialize, simulate
-from repro.sim.job import Job
+from repro.sim.job import Job, JobStatus
 from repro.sim.scheduler import Decision, Scheduler
 from repro.sim.task import Task, TaskSet
 from repro.sim.workload import JobSpec, WorkloadTrace
@@ -201,15 +202,20 @@ def test_eua_star_runs_clean_under_checker():
 
 
 # ----------------------------------------------------------------------
+def _audit_keys(result):
+    platform = Platform()
+    return {v.invariant for v in audit(result, platform.energy_model, platform.idle_power)}
+
+
 def test_direct_utility_accrual_check():
-    trace = _simple_trace()
-    task = next(iter(trace.taskset))
-    checker = InvariantChecker(mode="collect")
-    checker.bind(trace.taskset, Platform().processor(), make_scheduler("EDF"), None)
-    job = Job(task, 0, 0.0, 20.0)
+    result = simulate(_simple_trace(), make_scheduler("EDF"), Platform(), record_trace=True)
+    job = next(j for j in result.jobs if j.status is JobStatus.COMPLETED)
     job.accrued_utility = 42.0  # step TUF max is 10
-    checker.on_completion(job, 0.05)
-    assert {v.invariant for v in checker.violations} == {"utility_accrual"}
+    platform = Platform()
+    found = audit(result, platform.energy_model, platform.idle_power)
+    assert {v.job for v in found if v.invariant == "utility_accrual"} == {job.key}
+    # The doctored job also breaks the metrics re-derivation, nothing else.
+    assert {v.invariant for v in found} == {"utility_accrual", "metrics_consistency"}
 
 
 def test_energy_conservation_flags_doctored_stats():
@@ -218,8 +224,7 @@ def test_energy_conservation_flags_doctored_stats():
     result = simulate(trace, make_scheduler("EUA*"), Platform(), checker=checker)
     assert checker.ok
     result.processor_stats.energy += 1.0
-    checker.on_result(result)
-    assert "energy_conservation" in {v.invariant for v in checker.violations}
+    assert "energy_conservation" in _audit_keys(result)
 
 
 def test_metrics_consistency_flags_doctored_utility():
@@ -227,8 +232,7 @@ def test_metrics_consistency_flags_doctored_utility():
     checker = InvariantChecker(mode="collect")
     result = simulate(trace, make_scheduler("EUA*"), Platform(), checker=checker)
     result.jobs[0].accrued_utility += 5.0
-    checker.on_result(result)
-    assert "metrics_consistency" in {v.invariant for v in checker.violations}
+    assert "metrics_consistency" in _audit_keys(result)
 
 
 # ----------------------------------------------------------------------

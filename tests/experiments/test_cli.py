@@ -111,10 +111,10 @@ class TestNewCommands:
         assert os.path.exists(str(tmp_path / "f2_utility.svg"))
         assert os.path.exists(str(tmp_path / "f2_energy.svg"))
 
-    def test_validate_command(self, capsys):
-        rc = main(["validate", "--load", "0.6", "--horizon", "0.5"])
+    def test_check_command(self, capsys):
+        rc = main(["check", "--load", "0.6", "--horizon", "0.5"])
         assert rc == 0
-        assert "OK" in capsys.readouterr().out
+        assert "invariants: all clean" in capsys.readouterr().out
 
     def test_sensitivity_ladder(self, capsys):
         rc = main(["sensitivity", "ladder", "--seeds", "11", "--horizon", "0.5"])

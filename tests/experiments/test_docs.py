@@ -38,7 +38,7 @@ class TestTutorial:
                 exec(compile(_shrink(block), "tutorial.md", "exec"), ns)
         out = sink.getvalue()
         assert "battery multiplier" in out
-        assert "OK" in out  # the validator line
+        assert "audit: OK" in out
 
 
 class TestObservability:

@@ -95,11 +95,8 @@ def record_events_jsonl(label: str, checker=None, spans: bool = False) -> str:
         trace = materialize(taskset, HORIZON, rng)
         platform = MulticorePlatform.from_platform(Platform(), cores=MP_CORES)
         mode = "partitioned" if label == MP_LABEL else "global"
-        # Global mode has no per-core InvariantChecker hooks (it raises
-        # on a non-None checker); the transparency suite's checker arm
-        # degenerates to the plain replay for this case.
         simulate_mp(trace, factory, platform, mode=mode, observer=observer,
-                    checker=checker if mode == "partitioned" else None)
+                    checker=checker)
     else:
         rng = np.random.default_rng(SEED)
         taskset = synthesize_taskset(LOAD, rng)

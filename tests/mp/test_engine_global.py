@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.check import check_mp_result
+from repro.check import InvariantChecker, check_mp_result
 from repro.experiments import synthesize_taskset
 from repro.mp import GlobalEngine, MulticorePlatform, simulate_global, simulate_mp
 from repro.sched import make_scheduler
@@ -22,7 +22,8 @@ def platform2():
 
 
 def test_basic_m2_run(platform2):
-    result = simulate_mp(_trace(), "EUA*", platform2, mode="global", check=True)
+    result = simulate_mp(_trace(), "EUA*", platform2, mode="global",
+                         checker=InvariantChecker())
     assert result.mode == "global"
     assert result.cores == 2
     assert result.migrations >= 0
@@ -34,7 +35,7 @@ def test_invariants_hold_across_core_counts():
     for m in (1, 2, 4):
         platform = MulticorePlatform.from_platform(Platform(), cores=m)
         result = simulate_mp(
-            _trace(cores=m), "EUA*", platform, mode="global", check=True
+            _trace(cores=m), "EUA*", platform, mode="global", checker=InvariantChecker()
         )
         assert len(result.per_core_stats) == m
 
@@ -108,7 +109,7 @@ def test_global_dvs_scales_below_fmax_at_nominal_load():
     m = 4
     platform = MulticorePlatform.from_platform(Platform(), cores=m)
     trace = _trace(load=0.8, cores=m, horizon=0.4)
-    eua = simulate_mp(trace, "EUA*", platform, mode="global", check=True)
+    eua = simulate_mp(trace, "EUA*", platform, mode="global", checker=InvariantChecker())
     edf = simulate_mp(trace, "EDF", platform, mode="global")
     assert eua.energy < edf.energy  # not f_max-pinned any more
     assert eua.normalized_utility >= edf.normalized_utility - 1e-9

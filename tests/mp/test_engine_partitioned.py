@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.check import check_mp_result
+from repro.check import InvariantChecker, check_mp_result
 from repro.experiments import synthesize_taskset
 from repro.mp import MulticorePlatform, simulate_mp, simulate_partitioned
 from repro.sched import make_scheduler
@@ -22,7 +22,8 @@ def platform2():
 
 def test_basic_m2_run(platform2):
     result = simulate_mp(
-        _trace(), "EUA*", platform2, mode="partitioned", check=True, record_trace=True
+        _trace(), "EUA*", platform2, mode="partitioned", record_trace=True,
+        checker=InvariantChecker(),
     )
     assert result.mode == "partitioned"
     assert result.cores == 2
@@ -99,22 +100,10 @@ def test_scheduler_instance_rejected_across_cores(platform2):
 
 
 def test_shared_checker_audits_every_core(platform2):
-    from repro.check import InvariantChecker
-
     checker = InvariantChecker(mode="collect")
-    simulate_partitioned(_trace(), "EUA*", platform2, checker=checker)
+    result = simulate_partitioned(_trace(), "EUA*", platform2, checker=checker)
     assert checker.violations == []
-
-
-def test_checker_rejected_in_global_mode(platform2):
-    from repro.check import InvariantChecker
-    from repro.sim.engine import SimulationError
-
-    with pytest.raises(SimulationError):
-        simulate_mp(
-            _trace(), "EUA*", platform2, mode="global",
-            checker=InvariantChecker(mode="collect"),
-        )
+    assert result.core_segments is not None  # a checker implies record_trace
 
 
 def test_unknown_mode_rejected(platform2):

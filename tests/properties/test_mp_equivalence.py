@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.check import InvariantChecker
 from repro.experiments import synthesize_taskset
 from repro.mp import MulticorePlatform, simulate_mp
 from repro.obs import Observer, events_to_jsonl
@@ -78,7 +79,7 @@ def test_multicore_runs_pass_invariants(mode, cores):
     trace = _trace(0.8 * cores)
     platform = MulticorePlatform.from_platform(Platform(), cores=cores)
     result = simulate_mp(
-        trace, "EUA*", platform, mode=mode, check=True, record_trace=True
+        trace, "EUA*", platform, mode=mode, record_trace=True, checker=InvariantChecker()
     )
     assert result.cores == cores
     if mode == "partitioned":

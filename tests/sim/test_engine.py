@@ -336,6 +336,23 @@ class TestSwitchOverheads:
         assert result.processor_stats.switch_energy == pytest.approx(123.0)
         assert result.energy == pytest.approx(100.0 * 500.0**2 + 123.0)
 
+    def test_switch_stall_clamped_at_horizon(self):
+        # A DVS stall that crosses the horizon is charged only up to it:
+        # the processor's clock and idle energy match the traced timeline.
+        from repro.experiments import synthesize_taskset
+        from repro.sched import make_scheduler
+        from repro.sim import Platform, materialize
+
+        rng = np.random.default_rng(6)
+        trace = materialize(synthesize_taskset(0.8, rng), 1.0, rng)
+        platform = Platform(switch_time=0.02, idle_power=0.5)
+        result = simulate(trace, make_scheduler("EUA*"), platform, record_trace=True)
+        stats = result.processor_stats
+        traced_idle = sum(s.duration for s in result.trace.segments if s.job_key is None)
+        assert stats.total_time == pytest.approx(trace.horizon, rel=1e-12)
+        assert stats.idle_time == pytest.approx(traced_idle, rel=1e-12)
+        assert stats.idle_energy == pytest.approx(0.5 * traced_idle, rel=1e-12)
+
     def test_idle_power_charged_through_result(self):
         cpu = Processor(FrequencyScale((1000.0,)), EnergyModel.e1(), idle_power=7.0)
         task = _task(mean=100.0)
