@@ -399,6 +399,9 @@ class Engine:
         last_running: List[Optional[Job]] = [None] * m
         #: id(job) -> core the job last *executed* on (m > 1 only).
         last_exec_core: Dict[int, int] = {}
+        #: Static half of the per-core residual views (m > 1 only),
+        #: built at the first dispatch and dropped on reallocation.
+        plan: Optional[ResidualPlan] = None
         # Progress guard: every iteration must either advance time or
         # change the job population; bound the zero-progress streak.
         stall_guard = 0
@@ -547,10 +550,14 @@ class Engine:
                     free.discard(k)
                 if picks:
                     if tracing:
-                        sp.enter("engine.decide")
-                    self._decide_core_frequencies(view, ready, assigned)
+                        sp.enter("engine.core_freq")
+                    if plan is None:
+                        plan = ResidualPlan(taskset)
+                    self._decide_core_frequencies(
+                        view, plan.views(ready, assigned), assigned
+                    )
                     if tracing:
-                        sp.exit()  # engine.decide
+                        sp.exit()  # engine.core_freq
             else:
                 assigned = picks if picks else [None]
 
@@ -674,7 +681,10 @@ class Engine:
                 ready.remove(job)
                 scheduler.on_completion(job, t)
                 if rt is not None:
+                    reallocations = rt.reallocations
                     rt.on_completion(job, t)
+                    if rt.reallocations != reallocations:
+                        plan = None  # c_i moved: the worst-fit order is stale
                 if obs is not None:
                     obs.emit(t, EventKind.COMPLETE, job.key,
                              utility=job.accrued_utility,
@@ -713,85 +723,33 @@ class Engine:
     def _decide_core_frequencies(
         self,
         view: SchedulerView,
-        ready: List[Job],
+        residuals: List[Optional[Tuple[TaskSet, List[Job]]]],
         assigned: List[Optional[Tuple[Job, float]]],
     ) -> None:
         """Per-core ``decideFreq`` over residual demand views (m > 1).
 
         The selection round ran over the shared view with ``dvs=False``
         (its m-core demand makes any single frequency meaningless).
-        Here the taskset is split per core: each picked job's task is
-        pinned to its core, and the remaining tasks are distributed
-        worst-fit by density using the same deterministic ordering as
-        the offline partitioner, so every busy core prices roughly
-        ``1/m`` of the background demand instead of all of it.  Each
-        assigned core then gets ``scheduler.decide_frequency`` over its
-        residual view: its own dispatch plus its task share out of the
-        live ``ready`` list (which no longer holds this event's
-        aborts), minus jobs dispatched elsewhere.  ``None`` keeps the
-        selection-round frequency (fixed-frequency policies).
+        ``residuals`` holds each busy core's share of the task set and
+        of the live ``ready`` list (see :meth:`ResidualPlan.views`);
+        each assigned core gets ``scheduler.decide_frequency`` over it.
+        ``None`` keeps the selection-round frequency (fixed-frequency
+        policies).
 
         ``assigned`` is updated in place.  Job selection is untouched —
         only operating frequencies change, which is why m = 1 (this
         method never runs) is the plain uniprocessor dispatch.
         """
         scheduler = self.scheduler
-        taskset = view.taskset
-        m = len(assigned)
-
-        # A task picked on several cores at once (rare: multiple pending
-        # jobs of one task) is pinned to each, so every core's own
-        # dispatch is always covered by its view's taskset.
-        pinned: Dict[int, List[int]] = {}
-        for k in range(m):
-            pick = assigned[k]
-            if pick is not None:
-                pinned.setdefault(id(pick[0].task), []).append(k)
-
-        loads = [0.0] * m
-        members: List[List[int]] = [[] for _ in range(m)]
-        rest: List[int] = []
-        for i, task in enumerate(taskset):
-            cores_of_task = pinned.get(id(task))
-            if cores_of_task is None:
-                rest.append(i)
-                continue
-            for k in cores_of_task:
-                members[k].append(i)
-                loads[k] += task.min_feasible_frequency
-        # Same ordering key as repro.mp.partition.partition_taskset:
-        # density desc, utility-per-cycle desc, index — deterministic.
-        rest.sort(
-            key=lambda i: (
-                -taskset[i].min_feasible_frequency,
-                -(taskset[i].tuf.max_utility / taskset[i].allocation),
-                i,
-            )
-        )
-        for i in rest:
-            k = min(range(m), key=lambda q: (loads[q], q))
-            members[k].append(i)
-            loads[k] += taskset[i].min_feasible_frequency
-
         core_obs = self._core_obs
-        for k in range(m):
-            pick = assigned[k]
-            if pick is None:
+        for k, residual in enumerate(residuals):
+            if residual is None:
                 continue
-            job = pick[0]
-            subset = sorted(members[k])
-            subset_ids = {id(taskset[i]) for i in subset}
-            elsewhere = {
-                id(p[0]) for q, p in enumerate(assigned) if p is not None and q != k
-            }
+            job = assigned[k][0]
             sub_view = SchedulerView(
                 time=view.time,
-                ready=[
-                    j
-                    for j in ready
-                    if id(j.task) in subset_ids and id(j) not in elsewhere
-                ],
-                taskset=TaskSet(taskset[i] for i in subset),
+                ready=residual[1],
+                taskset=residual[0],
                 scale=view.scale,
                 energy_model=view.energy_model,
                 event=view.event,
@@ -807,3 +765,114 @@ class Engine:
                     scheduler.bind_observer(self.observer)
             if freq is not None:
                 assigned[k] = (job, freq)
+
+
+class ResidualPlan:
+    """The run-static half of global dispatch's per-core residual views.
+
+    At every m > 1 decision point the task set is split per core: each
+    dispatched job's task is pinned to its core, and the remaining
+    tasks are distributed worst-fit by density in the offline
+    partitioner's order (:func:`repro.mp.partition.partition_taskset`:
+    density desc, utility-per-cycle desc, index), so every busy core
+    prices roughly ``1/m`` of the background demand instead of all of
+    it.  Only the pins change between events; the order, each task's
+    ``C_i/D_i`` and the sub-task-set of each member combination are
+    fixed while the allocations are, so they are computed here once.
+    :meth:`~repro.sim.task.Task.reallocate` moves both sort keys, so
+    the engine drops its plan whenever an adaptive runtime reallocates.
+    """
+
+    __slots__ = ("tasks", "mff", "order", "index", "subsets")
+
+    def __init__(self, taskset: TaskSet):
+        tasks = list(taskset)
+        self.tasks = tasks
+        #: ``C_i / D_i`` per task index (the worst-fit weight).
+        self.mff: List[float] = [task.min_feasible_frequency for task in tasks]
+        mff = self.mff
+        #: Task indices in worst-fit placement order.
+        self.order: List[int] = sorted(
+            range(len(tasks)),
+            key=lambda i: (-mff[i], -(tasks[i].tuf.max_utility / tasks[i].allocation), i),
+        )
+        #: ``id(task)`` -> task index (finds each core's pinned task).
+        self.index: Dict[int, int] = {id(task): i for i, task in enumerate(tasks)}
+        #: Sorted member indices -> (sub-task-set, ids of its tasks).
+        self.subsets: Dict[Tuple[int, ...], Tuple[TaskSet, frozenset]] = {}
+
+    def partition(self, assigned: Sequence[Optional[Tuple[Job, float]]]) -> List[List[int]]:
+        """Member task indices of every core, in placement order.
+
+        A busy core starts with its dispatched job's task — a task
+        picked on several cores at once (several pending jobs of one
+        task) is pinned to each, so every core's own dispatch is always
+        covered by its view's task set.  Each remaining task then goes
+        to the least-loaded core, idle ones included; ties go to the
+        lowest core index.
+        """
+        m = len(assigned)
+        mff = self.mff
+        index = self.index
+        loads = [0.0] * m
+        members: List[List[int]] = [[] for _ in range(m)]
+        pinned = set()
+        for k in range(m):
+            pick = assigned[k]
+            if pick is not None:
+                i = index[id(pick[0].task)]
+                pinned.add(i)
+                members[k].append(i)
+                loads[k] = mff[i]
+        for i in self.order:
+            if i in pinned:
+                continue
+            best = 0
+            low = loads[0]
+            for q in range(1, m):
+                if loads[q] < low:
+                    best = q
+                    low = loads[q]
+            members[best].append(i)
+            loads[best] = low + mff[i]
+        return members
+
+    def views(
+        self,
+        ready: List[Job],
+        assigned: Sequence[Optional[Tuple[Job, float]]],
+    ) -> List[Optional[Tuple[TaskSet, List[Job]]]]:
+        """Each busy core's ``(sub-task-set, residual ready list)``.
+
+        The residual ready list is the core's task share out of the
+        live ``ready`` list (which no longer holds this event's
+        aborts), minus jobs dispatched on other cores.  Idle cores get
+        ``None``.
+        """
+        subsets = self.subsets
+        tasks = self.tasks
+        dispatched = {id(pick[0]) for pick in assigned if pick is not None}
+        out: List[Optional[Tuple[TaskSet, List[Job]]]] = []
+        for k, members in enumerate(self.partition(assigned)):
+            pick = assigned[k]
+            if pick is None:
+                out.append(None)
+                continue
+            key = tuple(sorted(members))
+            subset = subsets.get(key)
+            if subset is None:
+                subset = subsets[key] = (
+                    TaskSet(tasks[i] for i in key),
+                    frozenset(id(tasks[i]) for i in key),
+                )
+            sub_taskset, ids = subset
+            own = pick[0]
+            out.append((
+                sub_taskset,
+                [
+                    j
+                    for j in ready
+                    if id(j.task) in ids and (j is own or id(j) not in dispatched)
+                ],
+            ))
+        return out

@@ -157,7 +157,8 @@ def test_events_carry_core_field(platform2):
 
 def test_global_run_records_engine_phase_spans(platform2):
     """Global mode runs the engine's own event loop, so a SpanTracer
-    sees the same engine.run phase tree as a uniprocessor run."""
+    sees the same engine.run phase tree as a uniprocessor run, plus the
+    per-core DVS step in its own engine.core_freq phase."""
     from repro.obs import Observer, build_phase_report
 
     obs = Observer(events=False, metrics=False, spans=True)
@@ -165,7 +166,10 @@ def test_global_run_records_engine_phase_spans(platform2):
     assert obs.spans.open_depth == 0
     paths = {s.path for s in obs.spans.spans}
     assert "engine.run" in paths
-    for phase in ("release", "expiry", "snapshot", "decide", "advance", "complete"):
+    for phase in ("release", "expiry", "snapshot", "decide", "core_freq", "advance",
+                  "complete"):
         assert f"engine.run/engine.{phase}" in paths
+    # The selection round keeps its scheduler phases.
+    assert "engine.run/engine.decide/core.eua_construct" in paths
     report = build_phase_report(obs.spans)
     assert report.coverage() == pytest.approx(1.0, abs=0.10)
