@@ -745,11 +745,12 @@ class Engine:
         for k, residual in enumerate(residuals):
             if residual is None:
                 continue
+            sub_taskset, sub_ready = residual
             job = assigned[k][0]
             sub_view = SchedulerView(
                 time=view.time,
-                ready=residual[1],
-                taskset=residual[0],
+                ready=sub_ready,
+                taskset=sub_taskset,
                 scale=view.scale,
                 energy_model=view.energy_model,
                 event=view.event,
