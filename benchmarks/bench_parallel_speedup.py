@@ -34,7 +34,7 @@ from _artifacts import write_bench_artifact  # noqa: E402
 from repro.core import EUAStar  # noqa: E402
 from repro.experiments import synthesize_taskset  # noqa: E402
 from repro.experiments.figure2 import figure2_units  # noqa: E402
-from repro.experiments.parallel import run_units  # noqa: E402
+from repro.experiments.parallel import run_units, usable_cpus  # noqa: E402
 from repro.sim import Platform, materialize, simulate  # noqa: E402
 
 SWEEP_WORKERS = 4
@@ -50,13 +50,6 @@ MICRO_REPEATS = 3
 #: Allowed noise margin: the incremental path must be no slower than
 #: reference * (1 + margin).
 MICRO_MARGIN = 0.10
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def bench_sweep_speedup() -> dict:
@@ -86,7 +79,7 @@ def bench_sweep_speedup() -> dict:
             assert s.results[name].energy == p.results[name].energy, name
     print("[sweep] parallel results identical to serial: OK")
 
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     if cpus >= SWEEP_WORKERS:
         assert speedup >= 2.0, (
             f"expected >= 2x speedup at {SWEEP_WORKERS} workers on {cpus} CPUs, "

@@ -30,18 +30,14 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from _artifacts import write_bench_artifact  # noqa: E402
-from repro.svc import run_load_test_sync  # noqa: E402
-
-#: The smoke preset — keep in sync with ``repro loadtest --smoke``.
-PRESET = dict(load=0.8, seed=11, horizon=4.0, shape="poisson",
-              rate=25.0, connections=4)
+from repro.svc import SMOKE_PRESET, run_load_test_sync  # noqa: E402
 
 MIN_JOBS_PER_S = 1000.0
 
 
 def main() -> int:
-    print(f"[svc] load replay: {PRESET}")
-    report = run_load_test_sync(**PRESET)
+    print(f"[svc] load replay: {SMOKE_PRESET}")
+    report = run_load_test_sync(**SMOKE_PRESET)
     print(report.render())
 
     assert report.errors == 0, f"{report.errors} transport/server errors"
@@ -50,15 +46,9 @@ def main() -> int:
     )
     print(f"[svc] >= {MIN_JOBS_PER_S:.0f} jobs/s gate: PASS")
 
-    metrics = report.metrics()
-    directions = {
-        key: "lower" if key in ("svc_shed_rate", "svc_wall_s", "svc_max_lag_s")
-        else "higher"
-        for key in metrics
-    }
     write_bench_artifact(
-        "svc_loadtest", metrics, directions=directions,
-        meta={**PRESET, "submitted": report.submitted,
+        "svc_loadtest", report.metrics(), directions=report.directions(),
+        meta={**SMOKE_PRESET, "submitted": report.submitted,
               "min_jobs_per_s": MIN_JOBS_PER_S},
     )
     return 0

@@ -26,6 +26,12 @@ Subcommands regenerate the paper's evaluation from a terminal::
     repro-eua serve --port 8787 --load 0.8 --rate 10
     repro-eua loadtest --smoke [--bench]
     repro-eua loadtest --arrivals flash-crowd --rate 25 --connections 8
+
+The parser is table-driven: ``_FLAGS`` declares each shared flag once,
+and each ``_COMMANDS`` entry lists the flags its subcommand takes, in
+``--help`` order.  Handlers import their heavy modules lazily, so
+``python -m repro serve`` starts without the stats, viz or artifact
+layers.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import argparse
 import sys
 from time import perf_counter
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .cpu import FrequencyScale
 from .experiments import (
@@ -45,6 +51,10 @@ from .experiments import (
     MULTICORE_SCHEDULERS,
     TABLE1,
     TABLE2_NAMES,
+    ablate_dasa,
+    ablate_dvs,
+    ablate_dvs_method,
+    ablate_fopt,
     ascii_table,
     check_assurances,
     check_edf_equivalence,
@@ -53,12 +63,18 @@ from .experiments import (
     run_figure2,
     run_figure3,
     run_multicore,
+    sweep_ladder_granularity,
+    sweep_rho,
+    sweep_taskset_size,
 )
 from .sched import available_schedulers, make_scheduler
 
 __all__ = ["main"]
 
 
+# ----------------------------------------------------------------------
+# Argument types
+# ----------------------------------------------------------------------
 def _arrival_shape_arg(text: str):
     """argparse type for ``--arrivals``: ``name`` or ``name:key=val,...``
     resolved against the arrival registry."""
@@ -70,6 +86,99 @@ def _arrival_shape_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for core counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _host_port(text: str):
+    """argparse type for ``--address``: ``HOST:PORT`` → ``(host, port)``,
+    the host defaulting to 127.0.0.1 and the port in 1..65535."""
+    host, sep, port = text.rpartition(":")
+    try:
+        number = int(port) if sep else 0
+    except ValueError:
+        number = 0
+    if not 1 <= number <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with a port in 1..65535, got {text!r}"
+        )
+    return host or "127.0.0.1", number
+
+
+# ----------------------------------------------------------------------
+# Helpers the handlers share
+# ----------------------------------------------------------------------
+def _synthesize(load: float, seed: int, **shape):
+    """The task set ``load``/``seed`` describe (``shape``: further
+    :func:`synthesize_taskset` knobs) and the generator that drew it,
+    ready to materialise the workload."""
+    import numpy as np
+
+    from .experiments import synthesize_taskset
+
+    rng = np.random.default_rng(seed)
+    return synthesize_taskset(load, rng, **shape), rng
+
+
+def _write_svg_pair(render, result, svg: str) -> None:
+    """``render(result, metric, path)`` into ``<base>_{utility,energy}.svg``."""
+    base = svg[:-4] if svg.endswith(".svg") else svg
+    for metric in ("utility", "energy"):
+        path = f"{base}_{metric}.svg"
+        render(result, metric, path)
+        print(f"wrote {path}")
+
+
+def _write_dashboard(report, path: Optional[str]) -> None:
+    """``--dashboard``: the phase report as the SVG time-attribution chart."""
+    if path:
+        from .viz import render_phase_report
+
+        render_phase_report(report, path)
+        print(f"wrote {path}")
+
+
+def _write_bench(name: str, result) -> None:
+    """``--bench``: ``result``'s metrics, directions and meta as
+    ``BENCH_<name>.json`` for the regression gate."""
+    from .artifacts import write_bench_artifact
+
+    path = write_bench_artifact(name, result.metrics(), result.directions(), result.meta())
+    print(f"wrote {path}")
+
+
+def _run_cache(args: argparse.Namespace):
+    from .stats import RunCache
+
+    return RunCache(args.cache_dir) if args.cache_dir else None
+
+
+def _campaign(args: argparse.Namespace, config, telemetry=None):
+    """Run ``config`` over ``--workers``/``--cache-dir``/``--chunk-size``;
+    returns the result and, given ``telemetry``, its phase report."""
+    from .stats import run_campaign
+
+    t0 = perf_counter()
+    result = run_campaign(config, workers=args.workers, cache=_run_cache(args),
+                          telemetry=telemetry, chunk_size=args.chunk_size)
+    wall = perf_counter() - t0
+    if telemetry is None:
+        return result, None
+    from .obs import build_phase_report
+
+    return result, build_phase_report(telemetry, wall_clock=wall)
+
+
+# ----------------------------------------------------------------------
+# Handlers
+# ----------------------------------------------------------------------
 def _cmd_figure2(args: argparse.Namespace) -> int:
     result = run_figure2(
         energy_setting_name=args.energy,
@@ -88,11 +197,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
     if args.svg:
         from .viz import render_figure2
 
-        base = args.svg[:-4] if args.svg.endswith(".svg") else args.svg
-        for metric in ("utility", "energy"):
-            path = f"{base}_{metric}.svg"
-            render_figure2(result, metric, path)
-            print(f"wrote {path}")
+        _write_svg_pair(render_figure2, result, args.svg)
     return 0
 
 
@@ -113,6 +218,10 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
     return 0
 
 
+_MP_COLUMNS = ["mode", "cores", "load", "scheduler",
+               "norm_utility", "norm_energy", "migrations"]
+
+
 def _cmd_mp(args: argparse.Namespace) -> int:
     if args.smoke:
         # CI gate: a tiny m=2 campaign exercising both execution models
@@ -123,13 +232,7 @@ def _cmd_mp(args: argparse.Namespace) -> int:
                      horizon=0.3)
         result = run_multicore(**smoke, workers=1)
         print(f"mp smoke — energy setting {result.energy_setting} (m=2, load 0.8)")
-        print(
-            ascii_table(
-                result.rows(),
-                ["mode", "cores", "load", "scheduler",
-                 "norm_utility", "norm_energy", "migrations"],
-            )
-        )
+        print(ascii_table(result.rows(), _MP_COLUMNS))
         return _audit_mp_units(multicore_units(**smoke))
     result = run_multicore(
         energy_setting_name=args.energy,
@@ -144,21 +247,11 @@ def _cmd_mp(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     print(f"Multicore frontiers — energy setting {result.energy_setting}")
-    print(
-        ascii_table(
-            result.rows(),
-            ["mode", "cores", "load", "scheduler",
-             "norm_utility", "norm_energy", "migrations"],
-        )
-    )
+    print(ascii_table(result.rows(), _MP_COLUMNS))
     if args.svg:
         from .viz import render_multicore
 
-        base = args.svg[:-4] if args.svg.endswith(".svg") else args.svg
-        for metric in ("utility", "energy"):
-            path = f"{base}_{metric}.svg"
-            render_multicore(result, metric, path)
-            print(f"wrote {path}")
+        _write_svg_pair(render_multicore, result, args.svg)
     return 0
 
 
@@ -216,15 +309,11 @@ def _cmd_schedulers(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .experiments import synthesize_taskset
     from .sim import Platform, compare, materialize
 
-    rng = np.random.default_rng(args.seed)
-    taskset = synthesize_taskset(
+    taskset, rng = _synthesize(
         args.load,
-        rng,
+        args.seed,
         tuf_shape=args.tuf,
         nu=args.nu,
         rho=args.rho,
@@ -259,15 +348,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .analysis import jobs_from_trace, yds_energy
     from .core import EUAStar
-    from .experiments import synthesize_taskset
     from .sim import Platform, materialize, simulate
 
-    rng = np.random.default_rng(args.seed)
-    taskset = synthesize_taskset(args.load, rng)
+    taskset, rng = _synthesize(args.load, args.seed)
     trace = materialize(taskset, args.horizon, rng)
     model = energy_setting(args.energy)
     result = simulate(trace, EUAStar(), platform=Platform(energy_model=model))
@@ -298,62 +383,42 @@ def _audit_mp_units(units) -> int:
     return 1 if found else 0
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from .experiments import (
-        sweep_ladder_granularity,
-        sweep_rho,
-        sweep_taskset_size,
-    )
-
-    seeds = tuple(args.seeds) if args.seeds else DEFAULT_SEEDS
-    if args.which == "rho":
-        rows = sweep_rho(seeds=seeds, horizon=args.horizon, workers=args.workers)
-        cols = ["rho", "norm_energy", "utility", "min_attainment"]
-    elif args.which == "size":
-        rows = sweep_taskset_size(seeds=seeds, horizon=args.horizon,
-                                  workers=args.workers)
-        cols = ["n_tasks", "norm_energy", "utility", "min_attainment"]
-    else:  # ladder
-        rows = sweep_ladder_granularity(seeds=seeds, horizon=args.horizon,
-                                        workers=args.workers)
-        cols = ["levels", "norm_energy", "utility", "min_attainment"]
-    print(f"sensitivity sweep: {args.which}")
-    print(ascii_table(rows, cols))
-    return 0
+#: ``repro ablate`` and ``repro sensitivity``: name → (sweep, table columns).
+_ABLATIONS = {
+    "dvs": (ablate_dvs, ["load", "energy_ratio", "utility_dvs", "utility_fmax"]),
+    "fopt": (ablate_fopt, ["energy_setting", "with_fopt", "without_fopt"]),
+    "dvs-method": (ablate_dvs_method, ["a", "lookahead_energy", "demand_energy",
+                                       "lookahead_utility", "demand_utility"]),
+    "dasa": (ablate_dasa, ["load", "eua_utility", "dasa_utility", "edf_utility",
+                           "energy_ratio"]),
+}
+_SENSITIVITY = {
+    "rho": (sweep_rho, ["rho", "norm_energy", "utility", "min_attainment"]),
+    "size": (sweep_taskset_size, ["n_tasks", "norm_energy", "utility", "min_attainment"]),
+    "ladder": (sweep_ladder_granularity, ["levels", "norm_energy", "utility",
+                                          "min_attainment"]),
+}
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    from .experiments import ablate_dasa, ablate_dvs, ablate_dvs_method, ablate_fopt
+def _named_sweep(title: str, table):
+    """Handler running the sweep ``table`` names in the ``which`` argument."""
 
-    seeds = tuple(args.seeds) if args.seeds else DEFAULT_SEEDS
-    if args.which == "dvs":
-        rows = ablate_dvs(seeds=seeds, horizon=args.horizon, workers=args.workers)
-        cols = ["load", "energy_ratio", "utility_dvs", "utility_fmax"]
-    elif args.which == "fopt":
-        rows = ablate_fopt(seeds=seeds, horizon=args.horizon, workers=args.workers)
-        cols = ["energy_setting", "with_fopt", "without_fopt"]
-    elif args.which == "dvs-method":
-        rows = ablate_dvs_method(seeds=seeds, horizon=args.horizon,
-                                 workers=args.workers)
-        cols = ["a", "lookahead_energy", "demand_energy",
-                "lookahead_utility", "demand_utility"]
-    else:  # dasa
-        rows = ablate_dasa(seeds=seeds, horizon=args.horizon, workers=args.workers)
-        cols = ["load", "eua_utility", "dasa_utility", "edf_utility", "energy_ratio"]
-    print(f"ablation: {args.which}")
-    print(ascii_table(rows, cols))
-    return 0
+    def run(args: argparse.Namespace) -> int:
+        sweep, cols = table[args.which]
+        seeds = tuple(args.seeds) if args.seeds else DEFAULT_SEEDS
+        rows = sweep(seeds=seeds, horizon=args.horizon, workers=args.workers)
+        print(f"{title}: {args.which}")
+        print(ascii_table(rows, cols))
+        return 0
+
+    return run
 
 
-def _traced_run(args: argparse.Namespace, observer):
-    """One simulation with ``observer`` attached (trace/stats commands)."""
-    import numpy as np
-
-    from .experiments import synthesize_taskset
+def _traced_run(args: argparse.Namespace, observer, seed: int):
+    """One simulation at ``seed`` with ``observer`` attached (trace/obs)."""
     from .sim import Platform, materialize, simulate
 
-    rng = np.random.default_rng(args.seed)
-    taskset = synthesize_taskset(args.load, rng)
+    taskset, rng = _synthesize(args.load, seed)
     workload = materialize(taskset, args.horizon, rng)
     result = simulate(
         workload,
@@ -369,7 +434,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import Observer, events_to_jsonl
 
     observer = Observer(events=True, metrics=True)
-    workload, result = _traced_run(args, observer)
+    workload, result = _traced_run(args, observer, args.seed)
 
     if args.jsonl or args.decisions:
         # --jsonl: the execution timeline (segments only), the format
@@ -524,36 +589,23 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     merged = MetricsRegistry()
     tracer = SpanTracer()
-    base_seed = args.seed
     for rep in range(args.repeats):
         observer = Observer(events=False, metrics=True, spans=True)
-        args.seed = base_seed + rep
-        _traced_run(args, observer)
+        _traced_run(args, observer, args.seed + rep)
         merged.merge(observer.metrics)
         tracer.merge(observer.spans)
-    args.seed = base_seed
     print(f"scheduler={args.scheduler} load={args.load} horizon={args.horizon}s "
           f"repeats={args.repeats}")
     print(render_obs_summary(merged))
     report = build_phase_report(tracer)
     print()
     print(report.render())
-    if args.dashboard:
-        from .viz import render_phase_report
-
-        render_phase_report(report, args.dashboard)
-        print(f"wrote {args.dashboard}")
+    _write_dashboard(report, args.dashboard)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .stats import (
-        CampaignConfig,
-        EarlyStopRule,
-        RunCache,
-        render_campaign,
-        run_campaign,
-    )
+    from .stats import CampaignConfig, EarlyStopRule, render_campaign
 
     rule = None
     if args.early_stop:
@@ -580,28 +632,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         mp_mode=args.mp_mode,
         partition_strategy=args.partition_strategy,
     )
-    cache = RunCache(args.cache_dir) if args.cache_dir else None
     telemetry = None
     if args.spans or args.dashboard:
         from .obs import Telemetry
 
         telemetry = Telemetry()
-    t0 = perf_counter()
-    result = run_campaign(config, workers=args.workers, cache=cache,
-                          telemetry=telemetry, chunk_size=args.chunk_size)
-    wall = perf_counter() - t0
+    result, report = _campaign(args, config, telemetry)
     print(render_campaign(result))
-    if telemetry is not None:
-        from .obs import build_phase_report
-
-        report = build_phase_report(telemetry, wall_clock=wall)
+    if report is not None:
         print()
         print(report.render())
-        if args.dashboard:
-            from .viz import render_phase_report
-
-            render_phase_report(report, args.dashboard)
-            print(f"wrote {args.dashboard}")
+        _write_dashboard(report, args.dashboard)
     return 1 if result.verdict == "fail" else 0
 
 
@@ -640,9 +681,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         ThresholdConfig,
         run_threshold,
         smoke_config,
-        write_threshold_artifact,
     )
-    from .stats import RunCache
 
     if args.smoke:
         config = smoke_config()
@@ -663,12 +702,11 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
             rho=args.rho,
             energy=args.energy,
         )
-    cache = RunCache(args.cache_dir) if args.cache_dir else None
     t0 = perf_counter()
     result = run_threshold(
         config,
         workers=args.workers,
-        cache=cache,
+        cache=_run_cache(args),
         chunk_size=args.chunk_size,
         log=print if args.verbose else None,
     )
@@ -682,8 +720,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         ["scheduler", "shape", "threshold", "ci_low", "ci_high", "width"],
     ))
     if args.bench:
-        path = write_threshold_artifact(result, name=args.bench_name)
-        print(f"wrote {path}")
+        _write_bench(args.bench_name, result)
     if args.svg:
         from .viz import render_threshold
 
@@ -693,8 +730,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .obs import Telemetry, build_phase_report, phase_report_to_jsonl
-    from .stats import CampaignConfig, RunCache, run_campaign
+    from .obs import Telemetry, phase_report_to_jsonl
+    from .stats import CampaignConfig
 
     config = CampaignConfig(
         load=args.load,
@@ -704,13 +741,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         energy=args.energy,
     )
-    cache = RunCache(args.cache_dir) if args.cache_dir else None
-    telemetry = Telemetry()
-    t0 = perf_counter()
-    result = run_campaign(config, workers=args.workers, cache=cache,
-                          telemetry=telemetry, chunk_size=args.chunk_size)
-    wall = perf_counter() - t0
-    report = build_phase_report(telemetry, wall_clock=wall)
+    result, report = _campaign(args, config, Telemetry())
     print(f"profile: scheduler(s)={','.join(config.schedulers)} load={args.load} "
           f"n={args.n} workers={args.workers} verdict={result.verdict}")
     print(report.render())
@@ -718,26 +749,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         with open(args.jsonl_out, "w") as fh:
             fh.write(phase_report_to_jsonl(report))
         print(f"wrote {args.jsonl_out}")
-    if args.dashboard:
-        from .viz import render_phase_report
-
-        render_phase_report(report, args.dashboard)
-        print(f"wrote {args.dashboard}")
+    _write_dashboard(report, args.dashboard)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    import numpy as np
-
-    from .experiments import synthesize_taskset
     from .runtime import ViolationPolicy
     from .sim import Platform, WallClock
     from .svc import SchedulerService, ServiceCore
 
-    rng = np.random.default_rng(args.seed)
-    taskset = synthesize_taskset(args.load, rng)
+    taskset, _rng = _synthesize(args.load, args.seed)
     core = ServiceCore(
         taskset,
         Platform(energy_model=energy_setting(args.energy)),
@@ -768,30 +791,292 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from .svc import run_load_test_sync, write_loadtest_artifact
+    from .svc import SMOKE_PRESET, run_load_test_sync
 
     if args.smoke:
-        # The CI preset: the deterministic schedule behind the
-        # BENCH_svc_loadtest gate (see benchmarks/bench_svc_loadtest.py).
-        kwargs = dict(load=0.8, seed=11, horizon=4.0, shape="poisson",
-                      rate=25.0, connections=4)
+        kwargs = SMOKE_PRESET
     else:
         kwargs = dict(
             load=args.load, seed=args.seed, horizon=args.horizon,
             shape=args.arrivals.name, shape_params=args.arrivals.params,
             rate=args.rate, connections=args.connections,
             policy=args.policy, headroom=args.headroom,
-            scheduler=args.scheduler,
+            scheduler=args.scheduler, address=args.address,
         )
-        if args.address:
-            host, _, port = args.address.rpartition(":")
-            kwargs["address"] = (host or "127.0.0.1", int(port))
     report = run_load_test_sync(**kwargs)
     print(report.render())
     if args.bench:
-        path = write_loadtest_artifact(report, name=args.bench_name)
-        print(f"wrote {path}")
+        _write_bench(args.bench_name, report)
     return 0 if report.errors == 0 else 1
+
+
+# ----------------------------------------------------------------------
+# Command table
+# ----------------------------------------------------------------------
+_POLICIES = ["shed", "defer", "admit-and-flag"]
+_MODES = ["partitioned", "global"]
+_SVG_PAIR = "write SVG charts to <base>_{utility,energy}.svg"
+_BASE_SEED = "base seed; replication k uses seed + k"
+
+#: Every flag two or more subcommands take, declared once.  ``flags``
+#: lists extra option strings; a subcommand names the flag in its entry
+#: below and overrides only its own default or help text.
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--loads": dict(type=float, nargs="*", help="load sweep points"),
+    "--seeds": dict(type=int, nargs="*", help="replication seeds"),
+    "--seed": dict(type=int, default=11),
+    "-n": dict(flags=("-n", "--n"), type=int, dest="n"),
+    "--horizon": dict(type=float, default=2.0),
+    "--load": dict(type=float, default=0.8),
+    "--energy": dict(default="E1", choices=list(TABLE2_NAMES)),
+    "--scheduler": dict(default="EUA*"),
+    "--schedulers": dict(nargs="+", default=["EUA*"]),
+    "--tuf": dict(default="step", choices=["step", "linear"]),
+    "--nu": dict(type=float, default=1.0),
+    "--rho": dict(type=float, default=0.96),
+    "--arrivals": dict(default="periodic", type=_arrival_shape_arg,
+                       metavar="NAME[:K=V,...]",
+                       help="arrival shape from the registry (see "
+                            "`repro arrivals`)"),
+    "--confidence": dict(type=float, default=0.95,
+                         help="two-sided Wilson interval coverage in the report"),
+    "--cores": dict(type=_positive_int),
+    "--partition-strategy": dict(default="wfd", choices=["wfd", "ffd"],
+                                 help="bin-packing heuristic for partitioned mode"),
+    "--policy": dict(default="shed", choices=_POLICIES, help="UAM violation policy"),
+    "--headroom": dict(type=float, default=1.0,
+                       help="admission capacity derating (>= 1)"),
+    "--rate": dict(type=float, default=1.0,
+                   help="clock rate: emulated seconds per wall second"),
+    "--smoke": dict(action="store_true"),
+    "--verbose": dict(action="store_true"),
+    "--svg": dict(help="write an SVG chart to this path"),
+    "--dashboard": dict(help="write the SVG time-attribution dashboard to this path"),
+    "--cache-dir": dict(help="content-addressed run cache; re-runs load hits "
+                             "instead of re-simulating"),
+    "--bench": dict(action="store_true",
+                    help="write the BENCH_<name>.json gate artifact "
+                         "(to $REPRO_BENCH_ARTIFACTS or benchmarks/artifacts/)"),
+    "--bench-name": dict(help="artifact name for --bench"),
+    "--workers": dict(type=int, default=1,
+                      help="process-pool size for the sweep (1 = serial; "
+                           "results are identical at any setting)"),
+    "--chunk-size": dict(type=int, default=None,
+                         help="replications per pool task (default: auto-sized "
+                              "from --workers and the batch budget; results are "
+                              "identical at any setting)"),
+}
+
+
+def _o(flag: str, **override: Any):
+    """``flag`` with ``override`` applied over its ``_FLAGS`` entry; a
+    flag only one subcommand takes is declared whole this way."""
+    return flag, override
+
+
+#: Flag runs shared verbatim: the figure sweeps, one traced run, the service.
+_SWEEP = ("--loads", "--seeds", _o("--horizon", default=DEFAULT_HORIZON), "--workers")
+_RUN = ("--scheduler", "--load", "--energy", "--horizon", "--seed")
+_SERVICE = (_o("--load", help="synthesis load of the hosted task set"), "--seed",
+            "--energy", "--scheduler",
+            _o("--policy", help="UAM violation policy at ingestion"), "--headroom")
+
+#: (name, help, handler, options) per subcommand, in ``--help`` order.
+_COMMANDS = (
+    ("figure2", "normalised utility/energy vs load", _cmd_figure2,
+     ("--energy", _o("--svg", help=_SVG_PAIR), *_SWEEP)),
+    ("figure3", "EUA* energy vs load per UAM burst size", _cmd_figure3,
+     ("--svg", *_SWEEP)),
+    ("mp", "multicore frontiers: partitioned/global EUA* on m cores", _cmd_mp, (
+        "--energy",
+        _o("--cores", nargs="*",
+           help=f"core counts m (default {' '.join(map(str, MULTICORE_CORES))})"),
+        _o("--modes", nargs="+", default=list(_MODES), choices=_MODES,
+           help="execution models to sweep"),
+        _o("--schedulers", default=list(MULTICORE_SCHEDULERS),
+           help="registry schedulers (must include the EDF normaliser)"),
+        "--partition-strategy",
+        _o("--active-power", type=float, default=0.0,
+           help="per-active-core uncore power (W); 0 keeps the "
+                "m=1 column bit-identical to figure2"),
+        _o("--smoke", help="tiny m=2 campaign (both modes, one load, one seed) "
+                           "for CI smoke testing, every arm audited by the "
+                           "invariant checker (exit 1 on a violation); ignores "
+                           "the sweep options"),
+        _o("--svg", help=_SVG_PAIR),
+        *_SWEEP,
+    )),
+    ("simulate", "one comparison run on a synthesised workload", _cmd_simulate, (
+        _o("--load", default=1.0), "--energy", "--tuf", "--nu", "--rho",
+        _o("--arrivals", help="arrival shape from the registry (see `repro "
+                              "arrivals`), e.g. poisson, "
+                              "nhpp-diurnal:peak_frac=0.25"),
+        _o("--horizon", default=DEFAULT_HORIZON), "--seed",
+        _o("--schedulers", default=["EUA*", "LA-EDF", "EDF"]), "--workers",
+    )),
+    ("bound", "compare EUA* energy to the YDS lower bound", _cmd_bound,
+     (_o("--load", default=0.6), "--energy", "--horizon", "--seed")),
+    ("ablate", "run a named ablation", _named_sweep("ablation", _ABLATIONS), (
+        _o("which", choices=list(_ABLATIONS)), _o("--seeds", help=None),
+        _o("--horizon", default=DEFAULT_HORIZON), "--workers",
+    )),
+    ("sensitivity", "parameter-sensitivity sweeps",
+     _named_sweep("sensitivity sweep", _SENSITIVITY), (
+        _o("which", choices=list(_SENSITIVITY)), _o("--seeds", help=None),
+        _o("--horizon", default=DEFAULT_HORIZON), "--workers",
+    )),
+    ("trace", "dump one run's structured event trace", _cmd_trace, (
+        *_RUN,
+        _o("--jsonl", action="store_true",
+           help="emit the execution trace's segments as JSONL "
+                "(Trace.from_jsonl round-trips it; events are in "
+                "--decisions)"),
+        _o("--decisions", action="store_true",
+           help="emit the scheduler decision log as JSONL instead"),
+        _o("--out", help="write JSONL to this path instead of stdout"),
+        _o("--limit", type=int, default=20,
+           help="decision events shown in the human-readable view "
+                "(0 shows all)"),
+    )),
+    ("check", "audit one run with the invariant checker (live decision checks "
+              "+ post-hoc audit), or replay fuzz-corpus cases", _cmd_check, (
+        *_RUN, "--arrivals", "--tuf",
+        _o("--corpus", help="replay a corpus case file (or every *.json in a "
+                            "directory) instead of synthesising a workload"),
+    )),
+    ("fuzz", "differential scenario fuzzer over the scheduler zoo", _cmd_fuzz, (
+        _o("--budget", type=int, default=100,
+           help="number of scenarios (deterministic in --seed)"),
+        _o("--seed", default=0),
+        _o("--corpus-dir", default="tests/corpus",
+           help="where minimized failing cases are written"),
+        _o("--no-corpus", action="store_true", help="do not write corpus files"),
+        _o("--no-shrink", action="store_true",
+           help="save failing workloads without minimizing them"),
+        _o("--verbose", help="log findings as they occur"),
+        _o("--registry-shapes", action="store_true",
+           help="stratify scenarios over every spec-constructible "
+                "arrival shape in the registry instead of the "
+                "legacy four modes"),
+    )),
+    ("obs", "run with metrics + phase spans and summarise", _cmd_obs, (
+        *_RUN,
+        _o("--repeats", type=int, default=1,
+           help="repetitions merged into one registry (seed, seed+1, ...)"),
+        "--dashboard",
+    )),
+    ("stats", "Monte-Carlo assurance campaign: replicate, pool, and verify "
+              "{nu, rho}", _cmd_stats, (
+        "--load", "--energy", "--horizon", _o("--seed", help=_BASE_SEED),
+        _o("-n", default=200, help="number of independent replications"),
+        "--schedulers", "--tuf", "--nu", "--rho", "--arrivals", "--confidence",
+        _o("--early-stop", action="store_true",
+           help="stop once every {nu, rho} is decided at the "
+                "stop confidence"),
+        _o("--min-replications", type=int, default=50,
+           help="floor before the early-stop rule may fire"),
+        _o("--stop-confidence", type=float, default=0.999,
+           help="decision confidence while peeking (stricter than "
+                "--confidence)"),
+        _o("--check-every", type=int, default=25,
+           help="replications per batch between early-stop checks"),
+        _o("--cores", default=1,
+           help="processor count m; m > 1 runs the multicore engine "
+                "(workload demand scales to load × m)"),
+        _o("--mp-mode", default="partitioned", choices=_MODES,
+           help="multicore execution model when --cores > 1"),
+        "--partition-strategy", "--cache-dir",
+        _o("--spans", action="store_true",
+           help="trace phase spans and print the PhaseReport table "
+                "(also implied by --dashboard)"),
+        "--dashboard", "--workers", "--chunk-size",
+    )),
+    ("threshold", "locate the utilization phase transition per scheduler x "
+                  "arrival shape (coarse sweep + bisection refinement)",
+     _cmd_threshold, (
+        _o("--smoke", help="the CI mini-sweep (EUA* vs EDF on nhpp-diurnal "
+                           "and flash-crowd); ignores the sweep options"),
+        _o("--schedulers", default=["EUA*", "EDF"]),
+        _o("--shapes", nargs="+", default=["nhpp-diurnal", "flash-crowd"],
+           metavar="NAME[:K=V,...]",
+           help="arrival shapes from the registry (see `repro arrivals`)"),
+        _o("--load-range", type=float, nargs=2, default=[0.5, 4.5],
+           metavar=("LO", "HI"),
+           help="nominal synthesis load range to sweep (UAM "
+                "thinning shifts internet-shape transitions to "
+                "~3-4 nominal)"),
+        _o("--points", type=int, default=9,
+           help="coarse grid points across the load range"),
+        _o("--refine", type=int, default=3,
+           help="bisection iterations inside the crossing bracket"),
+        _o("-n", default=24, help="replications per sweep point"),
+        _o("--seed", help=_BASE_SEED), "--horizon",
+        _o("--confidence", help="Wilson interval coverage for the confidence band"),
+        "--tuf", "--nu", "--rho", "--energy",
+        _o("--cache-dir", help="content-addressed run cache shared with `stats`"),
+        "--bench", _o("--bench-name", default="threshold_smoke"),
+        _o("--svg", help="write the phase-diagram SVG to this path"),
+        _o("--verbose", help="log each campaign evaluation as it completes"),
+        "--workers", "--chunk-size",
+    )),
+    ("arrivals", "list registered arrival shapes and their spec-relative "
+                 "defaults", _cmd_arrivals, ()),
+    ("profile", "run a small campaign with span tracing and print where the "
+                "wall-clock went", _cmd_profile, (
+        "--load", "--energy", _o("--horizon", default=1.0),
+        _o("--seed", help=_BASE_SEED),
+        _o("-n", default=16, help="number of replications to profile over"),
+        "--schedulers",
+        _o("--cache-dir", help="content-addressed run cache (probes show up as "
+                               "cache hit rate)"),
+        _o("--jsonl-out",
+           help="write the PhaseReport as versioned JSONL to this path"),
+        "--dashboard", "--workers", "--chunk-size",
+    )),
+    ("theorems", "verify the timeliness theorems", _cmd_theorems,
+     (_o("--load", default=0.6),)),
+    ("runtime", "static vs adaptive EUA* under demand drift or UAM bursts",
+     _cmd_runtime, (
+        _o("--scenario", choices=["drift", "uam-burst"], default="drift"),
+        "--seed", _o("--load", default=0.9), "--horizon", "--policy",
+        _o("--detector", choices=["zscore", "cusum"], default="zscore"),
+        _o("--drift-threshold", type=float, default=4.0,
+           help="z threshold (zscore) or decision level h (cusum)"),
+        _o("--min-samples", type=int, default=8),
+        "--headroom",
+        _o("--drift-at", type=float, default=0.3,
+           help="drift onset as a fraction of the horizon"),
+        _o("--drift-factor", type=float, default=2.0,
+           help="true-demand scale after onset (drift scenario)"),
+        _o("--burst-factor", type=int, default=2,
+           help="simultaneous copies per arrival (uam-burst scenario)"),
+    )),
+    ("serve", "run the asyncio scheduler service (HTTP ingestion through "
+              "UAM compliance + admission control, JSONL decision stream)",
+     _cmd_serve, (
+        *_SERVICE, "--rate",
+        _o("--host", default="127.0.0.1"),
+        _o("--port", type=int, default=8787,
+           help="listen port (0 picks an ephemeral port)"),
+    )),
+    ("loadtest", "replay arrival-registry traffic against a service and "
+                 "report jobs/s, shed rate and deadline-hit rate", _cmd_loadtest, (
+        *_SERVICE, _o("--rate", default=25.0),
+        _o("--horizon", default=4.0, help="emulated seconds of arrivals to replay"),
+        _o("--arrivals", default="poisson"),
+        _o("--connections", type=int, default=4,
+           help="persistent loopback HTTP connections"),
+        _o("--address", type=_host_port, metavar="HOST:PORT",
+           help="target an already-running service instead of "
+                "spinning one in-process"),
+        _o("--smoke", help="the deterministic CI preset (ignores the "
+                           "workload options)"),
+        "--bench", _o("--bench-name", default="svc_loadtest"),
+    )),
+    ("table1", "print the Table 1 settings", _cmd_table1, ()),
+    ("table2", "print the Table 2 energy models", _cmd_table2, ()),
+    ("schedulers", "list registered policies", _cmd_schedulers, ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -800,375 +1085,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the DATE'05 EUA* evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def workers_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=1,
-                       help="process-pool size for the sweep (1 = serial; "
-                            "results are identical at any setting)")
-
-    def chunk_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--chunk-size", type=int, default=None,
-                       help="replications per pool task (default: auto-sized "
-                            "from --workers and the batch budget; results are "
-                            "identical at any setting)")
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--loads", type=float, nargs="*", help="load sweep points")
-        p.add_argument("--seeds", type=int, nargs="*", help="replication seeds")
-        p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
-        workers_opt(p)
-
-    p2 = sub.add_parser("figure2", help="normalised utility/energy vs load")
-    p2.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-    p2.add_argument("--svg", help="write SVG charts to <base>_{utility,energy}.svg")
-    common(p2)
-    p2.set_defaults(func=_cmd_figure2)
-
-    p3 = sub.add_parser("figure3", help="EUA* energy vs load per UAM burst size")
-    p3.add_argument("--svg", help="write an SVG chart to this path")
-    common(p3)
-    p3.set_defaults(func=_cmd_figure3)
-
-    pmp = sub.add_parser(
-        "mp",
-        help="multicore frontiers: partitioned/global EUA* on m cores",
-    )
-    pmp.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-    pmp.add_argument("--cores", type=int, nargs="*",
-                     help=f"core counts m (default {' '.join(map(str, MULTICORE_CORES))})")
-    pmp.add_argument("--modes", nargs="+", default=["partitioned", "global"],
-                     choices=["partitioned", "global"],
-                     help="execution models to sweep")
-    pmp.add_argument("--schedulers", nargs="+", default=list(MULTICORE_SCHEDULERS),
-                     help="registry schedulers (must include the EDF normaliser)")
-    pmp.add_argument("--partition-strategy", default="wfd", choices=["wfd", "ffd"],
-                     help="bin-packing heuristic for partitioned mode")
-    pmp.add_argument("--active-power", type=float, default=0.0,
-                     help="per-active-core uncore power (W); 0 keeps the "
-                          "m=1 column bit-identical to figure2")
-    pmp.add_argument("--smoke", action="store_true",
-                     help="tiny m=2 campaign (both modes, one load, one seed) "
-                          "for CI smoke testing, every arm audited by the "
-                          "invariant checker (exit 1 on a violation); ignores "
-                          "the sweep options")
-    pmp.add_argument("--svg", help="write SVG charts to <base>_{utility,energy}.svg")
-    common(pmp)
-    pmp.set_defaults(func=_cmd_mp)
-
-    ps = sub.add_parser("simulate", help="one comparison run on a synthesised workload")
-    ps.add_argument("--load", type=float, default=1.0)
-    ps.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-    ps.add_argument("--tuf", default="step", choices=["step", "linear"])
-    ps.add_argument("--nu", type=float, default=1.0)
-    ps.add_argument("--rho", type=float, default=0.96)
-    ps.add_argument("--arrivals", default=_arrival_shape_arg("periodic"),
-                    type=_arrival_shape_arg, metavar="NAME[:K=V,...]",
-                    help="arrival shape from the registry (see `repro arrivals`),"
-                         " e.g. poisson, nhpp-diurnal:peak_frac=0.25")
-    ps.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
-    ps.add_argument("--seed", type=int, default=11)
-    ps.add_argument("--schedulers", nargs="+",
-                    default=["EUA*", "LA-EDF", "EDF"])
-    workers_opt(ps)
-    ps.set_defaults(func=_cmd_simulate)
-
-    pb = sub.add_parser("bound", help="compare EUA* energy to the YDS lower bound")
-    pb.add_argument("--load", type=float, default=0.6)
-    pb.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-    pb.add_argument("--horizon", type=float, default=2.0)
-    pb.add_argument("--seed", type=int, default=11)
-    pb.set_defaults(func=_cmd_bound)
-
-    pa = sub.add_parser("ablate", help="run a named ablation")
-    pa.add_argument("which", choices=["dvs", "fopt", "dvs-method", "dasa"])
-    pa.add_argument("--seeds", type=int, nargs="*")
-    pa.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
-    workers_opt(pa)
-    pa.set_defaults(func=_cmd_ablate)
-
-    px = sub.add_parser("sensitivity", help="parameter-sensitivity sweeps")
-    px.add_argument("which", choices=["rho", "size", "ladder"])
-    px.add_argument("--seeds", type=int, nargs="*")
-    px.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
-    workers_opt(px)
-    px.set_defaults(func=_cmd_sensitivity)
-
-    def obs_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheduler", default="EUA*")
-        p.add_argument("--load", type=float, default=0.8)
-        p.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-        p.add_argument("--horizon", type=float, default=2.0)
-        p.add_argument("--seed", type=int, default=11)
-
-    ptr = sub.add_parser("trace", help="dump one run's structured event trace")
-    obs_common(ptr)
-    ptr.add_argument("--jsonl", action="store_true",
-                     help="emit the execution trace's segments as JSONL "
-                          "(Trace.from_jsonl round-trips it; events are in "
-                          "--decisions)")
-    ptr.add_argument("--decisions", action="store_true",
-                     help="emit the scheduler decision log as JSONL instead")
-    ptr.add_argument("--out", help="write JSONL to this path instead of stdout")
-    ptr.add_argument("--limit", type=int, default=20,
-                     help="decision events shown in the human-readable view "
-                          "(0 shows all)")
-    ptr.set_defaults(func=_cmd_trace)
-
-    pck = sub.add_parser("check", help="audit one run with the invariant checker "
-                                       "(live decision checks + post-hoc audit), "
-                                       "or replay fuzz-corpus cases")
-    obs_common(pck)
-    pck.add_argument("--arrivals", default=_arrival_shape_arg("periodic"),
-                     type=_arrival_shape_arg, metavar="NAME[:K=V,...]",
-                     help="arrival shape from the registry (see `repro arrivals`)")
-    pck.add_argument("--tuf", default="step", choices=["step", "linear"])
-    pck.add_argument("--corpus",
-                     help="replay a corpus case file (or every *.json in a "
-                          "directory) instead of synthesising a workload")
-    pck.set_defaults(func=_cmd_check)
-
-    pfz = sub.add_parser("fuzz", help="differential scenario fuzzer over the "
-                                      "scheduler zoo")
-    pfz.add_argument("--budget", type=int, default=100,
-                     help="number of scenarios (deterministic in --seed)")
-    pfz.add_argument("--seed", type=int, default=0)
-    pfz.add_argument("--corpus-dir", default="tests/corpus",
-                     help="where minimized failing cases are written")
-    pfz.add_argument("--no-corpus", action="store_true",
-                     help="do not write corpus files")
-    pfz.add_argument("--no-shrink", action="store_true",
-                     help="save failing workloads without minimizing them")
-    pfz.add_argument("--verbose", action="store_true",
-                     help="log findings as they occur")
-    pfz.add_argument("--registry-shapes", action="store_true",
-                     help="stratify scenarios over every spec-constructible "
-                          "arrival shape in the registry instead of the "
-                          "legacy four modes")
-    pfz.set_defaults(func=_cmd_fuzz)
-
-    def dashboard_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dashboard",
-                       help="write the SVG time-attribution dashboard to this path")
-
-    pob = sub.add_parser("obs", help="run with metrics + phase spans and summarise")
-    obs_common(pob)
-    pob.add_argument("--repeats", type=int, default=1,
-                     help="repetitions merged into one registry (seed, seed+1, ...)")
-    dashboard_opt(pob)
-    pob.set_defaults(func=_cmd_obs)
-
-    pst = sub.add_parser(
-        "stats",
-        help="Monte-Carlo assurance campaign: replicate, pool, and verify {nu, rho}",
-    )
-    pst.add_argument("--load", type=float, default=0.8)
-    pst.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-    pst.add_argument("--horizon", type=float, default=2.0)
-    pst.add_argument("--seed", type=int, default=11,
-                     help="base seed; replication k uses seed + k")
-    pst.add_argument("-n", "--n", type=int, default=200, dest="n",
-                     help="number of independent replications")
-    pst.add_argument("--schedulers", nargs="+", default=["EUA*"])
-    pst.add_argument("--tuf", default="step", choices=["step", "linear"])
-    pst.add_argument("--nu", type=float, default=1.0)
-    pst.add_argument("--rho", type=float, default=0.96)
-    pst.add_argument("--arrivals", default=_arrival_shape_arg("periodic"),
-                     type=_arrival_shape_arg, metavar="NAME[:K=V,...]",
-                     help="arrival shape from the registry (see `repro arrivals`)")
-    pst.add_argument("--confidence", type=float, default=0.95,
-                     help="two-sided Wilson interval coverage in the report")
-    pst.add_argument("--early-stop", action="store_true",
-                     help="stop once every {nu, rho} is decided at the "
-                          "stop confidence")
-    pst.add_argument("--min-replications", type=int, default=50,
-                     help="floor before the early-stop rule may fire")
-    pst.add_argument("--stop-confidence", type=float, default=0.999,
-                     help="decision confidence while peeking (stricter than "
-                          "--confidence)")
-    pst.add_argument("--check-every", type=int, default=25,
-                     help="replications per batch between early-stop checks")
-    pst.add_argument("--cores", type=int, default=1,
-                     help="processor count m; m > 1 runs the multicore engine "
-                          "(workload demand scales to load × m)")
-    pst.add_argument("--mp-mode", default="partitioned",
-                     choices=["partitioned", "global"],
-                     help="multicore execution model when --cores > 1")
-    pst.add_argument("--partition-strategy", default="wfd",
-                     choices=["wfd", "ffd"],
-                     help="bin-packing heuristic for partitioned mode")
-    pst.add_argument("--cache-dir",
-                     help="content-addressed run cache; re-runs load hits "
-                          "instead of re-simulating")
-    pst.add_argument("--spans", action="store_true",
-                     help="trace phase spans and print the PhaseReport table "
-                          "(also implied by --dashboard)")
-    dashboard_opt(pst)
-    workers_opt(pst)
-    chunk_opt(pst)
-    pst.set_defaults(func=_cmd_stats)
-
-    pth = sub.add_parser(
-        "threshold",
-        help="locate the utilization phase transition per scheduler x "
-             "arrival shape (coarse sweep + bisection refinement)",
-    )
-    pth.add_argument("--smoke", action="store_true",
-                     help="the CI mini-sweep (EUA* vs EDF on nhpp-diurnal "
-                          "and flash-crowd); ignores the sweep options")
-    pth.add_argument("--schedulers", nargs="+", default=["EUA*", "EDF"])
-    pth.add_argument("--shapes", nargs="+",
-                     default=["nhpp-diurnal", "flash-crowd"],
-                     metavar="NAME[:K=V,...]",
-                     help="arrival shapes from the registry (see "
-                          "`repro arrivals`)")
-    pth.add_argument("--load-range", type=float, nargs=2, default=[0.5, 4.5],
-                     metavar=("LO", "HI"),
-                     help="nominal synthesis load range to sweep (UAM "
-                          "thinning shifts internet-shape transitions to "
-                          "~3-4 nominal)")
-    pth.add_argument("--points", type=int, default=9,
-                     help="coarse grid points across the load range")
-    pth.add_argument("--refine", type=int, default=3,
-                     help="bisection iterations inside the crossing bracket")
-    pth.add_argument("-n", "--n", type=int, default=24, dest="n",
-                     help="replications per sweep point")
-    pth.add_argument("--seed", type=int, default=11,
-                     help="base seed; replication k uses seed + k")
-    pth.add_argument("--horizon", type=float, default=2.0)
-    pth.add_argument("--confidence", type=float, default=0.95,
-                     help="Wilson interval coverage for the confidence band")
-    pth.add_argument("--tuf", default="step", choices=["step", "linear"])
-    pth.add_argument("--nu", type=float, default=1.0)
-    pth.add_argument("--rho", type=float, default=0.96)
-    pth.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-    pth.add_argument("--cache-dir",
-                     help="content-addressed run cache shared with `stats`")
-    pth.add_argument("--bench", action="store_true",
-                     help="write the BENCH_<name>.json gate artifact "
-                          "(to $REPRO_BENCH_ARTIFACTS or benchmarks/artifacts/)")
-    pth.add_argument("--bench-name", default="threshold_smoke",
-                     help="artifact name for --bench")
-    pth.add_argument("--svg", help="write the phase-diagram SVG to this path")
-    pth.add_argument("--verbose", action="store_true",
-                     help="log each campaign evaluation as it completes")
-    workers_opt(pth)
-    chunk_opt(pth)
-    pth.set_defaults(func=_cmd_threshold)
-
-    sub.add_parser(
-        "arrivals",
-        help="list registered arrival shapes and their spec-relative defaults",
-    ).set_defaults(func=_cmd_arrivals)
-
-    ppr = sub.add_parser(
-        "profile",
-        help="run a small campaign with span tracing and print where the "
-             "wall-clock went",
-    )
-    ppr.add_argument("--load", type=float, default=0.8)
-    ppr.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-    ppr.add_argument("--horizon", type=float, default=1.0)
-    ppr.add_argument("--seed", type=int, default=11,
-                     help="base seed; replication k uses seed + k")
-    ppr.add_argument("-n", "--n", type=int, default=16, dest="n",
-                     help="number of replications to profile over")
-    ppr.add_argument("--schedulers", nargs="+", default=["EUA*"])
-    ppr.add_argument("--cache-dir",
-                     help="content-addressed run cache (probes show up as "
-                          "cache hit rate)")
-    ppr.add_argument("--jsonl-out",
-                     help="write the PhaseReport as versioned JSONL to this path")
-    dashboard_opt(ppr)
-    workers_opt(ppr)
-    chunk_opt(ppr)
-    ppr.set_defaults(func=_cmd_profile)
-
-    pt = sub.add_parser("theorems", help="verify the timeliness theorems")
-    pt.add_argument("--load", type=float, default=0.6)
-    pt.set_defaults(func=_cmd_theorems)
-
-    prt = sub.add_parser(
-        "runtime",
-        help="static vs adaptive EUA* under demand drift or UAM bursts",
-    )
-    prt.add_argument("--scenario", choices=["drift", "uam-burst"], default="drift")
-    prt.add_argument("--seed", type=int, default=11)
-    prt.add_argument("--load", type=float, default=0.9)
-    prt.add_argument("--horizon", type=float, default=2.0)
-    prt.add_argument("--policy", choices=["shed", "defer", "admit-and-flag"],
-                     default="shed", help="UAM violation policy")
-    prt.add_argument("--detector", choices=["zscore", "cusum"], default="zscore")
-    prt.add_argument("--drift-threshold", type=float, default=4.0,
-                     help="z threshold (zscore) or decision level h (cusum)")
-    prt.add_argument("--min-samples", type=int, default=8)
-    prt.add_argument("--headroom", type=float, default=1.0,
-                     help="admission capacity derating (>= 1)")
-    prt.add_argument("--drift-at", type=float, default=0.3,
-                     help="drift onset as a fraction of the horizon")
-    prt.add_argument("--drift-factor", type=float, default=2.0,
-                     help="true-demand scale after onset (drift scenario)")
-    prt.add_argument("--burst-factor", type=int, default=2,
-                     help="simultaneous copies per arrival (uam-burst scenario)")
-    prt.set_defaults(func=_cmd_runtime)
-
-    def svc_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--load", type=float, default=0.8,
-                       help="synthesis load of the hosted task set")
-        p.add_argument("--seed", type=int, default=11)
-        p.add_argument("--energy", default="E1", choices=list(TABLE2_NAMES))
-        p.add_argument("--scheduler", default="EUA*")
-        p.add_argument("--policy", default="shed",
-                       choices=["shed", "defer", "admit-and-flag"],
-                       help="UAM violation policy at ingestion")
-        p.add_argument("--headroom", type=float, default=1.0,
-                       help="admission capacity derating (>= 1)")
-        p.add_argument("--rate", type=float, default=1.0,
-                       help="clock rate: emulated seconds per wall second")
-
-    psv = sub.add_parser(
-        "serve",
-        help="run the asyncio scheduler service (HTTP ingestion through "
-             "UAM compliance + admission control, JSONL decision stream)",
-    )
-    svc_common(psv)
-    psv.add_argument("--host", default="127.0.0.1")
-    psv.add_argument("--port", type=int, default=8787,
-                     help="listen port (0 picks an ephemeral port)")
-    psv.set_defaults(func=_cmd_serve)
-
-    plt = sub.add_parser(
-        "loadtest",
-        help="replay arrival-registry traffic against a service and "
-             "report jobs/s, shed rate and deadline-hit rate",
-    )
-    svc_common(plt)
-    plt.set_defaults(rate=25.0)
-    plt.add_argument("--horizon", type=float, default=4.0,
-                     help="emulated seconds of arrivals to replay")
-    plt.add_argument("--arrivals", default=_arrival_shape_arg("poisson"),
-                     type=_arrival_shape_arg, metavar="NAME[:K=V,...]",
-                     help="arrival shape from the registry (see "
-                          "`repro arrivals`)")
-    plt.add_argument("--connections", type=int, default=4,
-                     help="persistent loopback HTTP connections")
-    plt.add_argument("--address", metavar="HOST:PORT",
-                     help="target an already-running service instead of "
-                          "spinning one in-process")
-    plt.add_argument("--smoke", action="store_true",
-                     help="the deterministic CI preset (ignores the "
-                          "workload options)")
-    plt.add_argument("--bench", action="store_true",
-                     help="write the BENCH_<name>.json gate artifact "
-                          "(to $REPRO_BENCH_ARTIFACTS or benchmarks/artifacts/)")
-    plt.add_argument("--bench-name", default="svc_loadtest",
-                     help="artifact name for --bench")
-    plt.set_defaults(func=_cmd_loadtest)
-
-    sub.add_parser("table1", help="print the Table 1 settings").set_defaults(func=_cmd_table1)
-    sub.add_parser("table2", help="print the Table 2 energy models").set_defaults(func=_cmd_table2)
-    sub.add_parser("schedulers", help="list registered policies").set_defaults(
-        func=_cmd_schedulers
-    )
+    for name, help_text, handler, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for spec in options:
+            flag, override = (spec, {}) if isinstance(spec, str) else spec
+            kwargs = {**_FLAGS.get(flag, {}), **override}
+            p.add_argument(*kwargs.pop("flags", (flag,)), **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -25,22 +25,17 @@ RunCache` when given, so re-running a sweep is nearly free.
    below); the *transition width* spans the interpolated 0.9→0.1
    crossings of the success curve.
 
-:func:`write_threshold_artifact` emits the result as a
-``BENCH_threshold_*.json`` artifact (same schema as
-``benchmarks/_artifacts.py``) so CI's ``check_regression.py`` gate can
-pin the threshold location — a scheduler regression that shifts the
-phase boundary fails the build.  ``repro threshold --smoke`` runs the
+:meth:`ThresholdResult.metrics`, :meth:`~ThresholdResult.directions`
+and :meth:`~ThresholdResult.meta` feed a ``BENCH_threshold_*.json``
+artifact (:func:`repro.artifacts.write_bench_artifact`) so CI's
+``check_regression.py`` gate can pin the threshold location — a
+scheduler regression that shifts the phase boundary fails the build.  ``repro threshold --smoke`` runs the
 2-scheduler × 2-shape mini-sweep CI gates on.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform as _platform
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..arrivals import workload_shape_names
@@ -59,7 +54,6 @@ __all__ = [
     "ThresholdResult",
     "run_threshold",
     "smoke_config",
-    "write_threshold_artifact",
 ]
 
 
@@ -290,6 +284,17 @@ class ThresholdResult:
             out[key] = "higher" if key.startswith("threshold[") else "lower"
         return out
 
+    def meta(self) -> Dict[str, object]:
+        """Sweep provenance recorded beside the BENCH artifact's metrics."""
+        return {
+            "schedulers": list(self.config.schedulers),
+            "shapes": [s.label for s in self.config.shapes],
+            "n_replications": self.config.n_replications,
+            "base_seed": self.config.base_seed,
+            "horizon": self.config.horizon,
+            "n_campaigns": self.n_campaigns,
+        }
+
 
 # ----------------------------------------------------------------------
 # Characterisation helpers (pure, unit-testable)
@@ -453,54 +458,3 @@ def run_threshold(
                     f"in [{c.ci_low:.3f}, {c.ci_high:.3f}], width {c.width:.3f}"
                 )
     return result
-
-
-# ----------------------------------------------------------------------
-# BENCH artifact emission (mirrors benchmarks/_artifacts.py)
-# ----------------------------------------------------------------------
-def _usable_cpus() -> Optional[int]:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # non-Linux or restricted
-        return os.cpu_count()
-
-
-def write_threshold_artifact(
-    result: ThresholdResult,
-    name: str = "threshold_smoke",
-    directory: Optional[str] = None,
-) -> Path:
-    """Write ``BENCH_<name>.json`` for the CI regression gate.
-
-    Same schema as ``benchmarks/_artifacts.write_bench_artifact`` (that
-    module lives outside the installed package, hence the mirror): the
-    destination is ``directory``, else ``$REPRO_BENCH_ARTIFACTS``, else
-    ``benchmarks/artifacts/`` under the current directory.
-    """
-    if directory is None:
-        directory = os.environ.get("REPRO_BENCH_ARTIFACTS") or os.path.join(
-            "benchmarks", "artifacts"
-        )
-    metrics = result.metrics()
-    directions = result.directions()
-    payload = {
-        "name": name,
-        "metrics": {k: float(v) for k, v in sorted(metrics.items())},
-        "directions": {k: directions.get(k, "higher") for k in sorted(metrics)},
-        "meta": {
-            "schedulers": list(result.config.schedulers),
-            "shapes": [s.label for s in result.config.shapes],
-            "n_replications": result.config.n_replications,
-            "base_seed": result.config.base_seed,
-            "horizon": result.config.horizon,
-            "n_campaigns": result.n_campaigns,
-            "python": _platform.python_version(),
-            "platform": sys.platform,
-            "cpu_count": os.cpu_count(),
-            "usable_cpus": _usable_cpus(),
-        },
-    }
-    path = Path(directory) / f"BENCH_{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

@@ -2,12 +2,15 @@
 
 The :class:`~repro.sim.engine.Engine` is a discrete-event simulator —
 between scheduling events nothing observable happens, so the default
-(virtual) clock jumps straight to the next event instant.  The service
-runtime (:mod:`repro.svc`) drives the *same* engine loop against real
-time: a :class:`WallClock` sleeps until each event instant actually
-arrives (arrivals, predicted completions, and TUF termination times —
-the deadline timers), then lets the engine apply exactly the state
-change it would have applied in simulation.
+(virtual) clock jumps straight to the next event instant.  With a
+non-virtual clock (``simulate(clock="wall")``) the engine instead
+sleeps until each event instant actually arrives (arrivals, predicted
+completions, and TUF termination times — the deadline timers), then
+applies exactly the state change it would have applied in simulation.
+The service (:mod:`repro.svc`) does not run the engine: its
+``ServiceCore`` has its own release → expire → decide → advance →
+complete cycle, and the asyncio front-end paces that cycle with a
+:class:`WallClock`'s ``now``/``wall_remaining``/``note_lag``.
 
 Contract
 --------

@@ -11,11 +11,11 @@ and reports sustained throughput, shed rate and deadline-hit rate.
 
 from .core import ServiceCore, SubmitOutcome, UnknownTaskError
 from .loadgen import (
+    SMOKE_PRESET,
     LoadReport,
     build_schedule,
     run_load_test,
     run_load_test_sync,
-    write_loadtest_artifact,
 )
 from .service import SchedulerService
 
@@ -28,5 +28,5 @@ __all__ = [
     "build_schedule",
     "run_load_test",
     "run_load_test_sync",
-    "write_loadtest_artifact",
+    "SMOKE_PRESET",
 ]

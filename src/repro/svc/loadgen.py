@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +38,14 @@ __all__ = [
     "build_schedule",
     "run_load_test",
     "run_load_test_sync",
-    "write_loadtest_artifact",
+    "SMOKE_PRESET",
 ]
+
+#: The deterministic replay behind ``repro loadtest --smoke`` and the
+#: ``BENCH_svc_loadtest`` gate (``benchmarks/bench_svc_loadtest.py``).
+SMOKE_PRESET: Dict[str, object] = dict(
+    load=0.8, seed=11, horizon=4.0, shape="poisson", rate=25.0, connections=4
+)
 
 
 @dataclass
@@ -94,6 +98,17 @@ class LoadReport:
             "svc_wall_s": self.wall_s,
             "svc_max_lag_s": float(drift.get("max_lag_s", 0.0)),
         }
+
+    def directions(self) -> Dict[str, str]:
+        """Gate directions: shedding, wall time and clock lag regress
+        upward; throughput, deadline hits and completions downward."""
+        lower = ("svc_shed_rate", "svc_wall_s", "svc_max_lag_s")
+        return {key: "lower" if key in lower else "higher" for key in self.metrics()}
+
+    def meta(self) -> Dict[str, object]:
+        """Replay provenance recorded beside the BENCH artifact's metrics."""
+        return {"shape": self.shape, "rate": self.rate,
+                "connections": self.connections, "submitted": self.submitted}
 
     def render(self) -> str:
         s = self.stats
@@ -303,36 +318,3 @@ def run_load_test_sync(**kwargs) -> LoadReport:
     """Blocking wrapper around :func:`run_load_test`."""
     return asyncio.run(run_load_test(**kwargs))
 
-
-def write_loadtest_artifact(
-    report: LoadReport,
-    name: str = "svc_loadtest",
-    directory: Optional[str] = None,
-) -> Path:
-    """Write ``BENCH_<name>.json`` for the CI regression gate (same
-    schema as ``benchmarks/_artifacts.write_bench_artifact``)."""
-    if directory is None:
-        directory = os.environ.get("REPRO_BENCH_ARTIFACTS") or os.path.join(
-            "benchmarks", "artifacts"
-        )
-    metrics = report.metrics()
-    directions = {
-        key: "lower" if key in ("svc_shed_rate", "svc_wall_s", "svc_max_lag_s")
-        else "higher"
-        for key in metrics
-    }
-    payload = {
-        "name": name,
-        "metrics": {k: float(v) for k, v in sorted(metrics.items())},
-        "directions": {k: directions[k] for k in sorted(metrics)},
-        "meta": {
-            "shape": report.shape,
-            "rate": report.rate,
-            "connections": report.connections,
-            "submitted": report.submitted,
-        },
-    }
-    path = Path(directory) / f"BENCH_{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

@@ -3,9 +3,13 @@
 Bernoulli it builds on (repro.stats.campaign)."""
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.artifacts import write_bench_artifact
 from repro.experiments.threshold import (
     ArrivalShape,
     ThresholdConfig,
@@ -15,7 +19,6 @@ from repro.experiments.threshold import (
     _wilson_band,
     run_threshold,
     smoke_config,
-    write_threshold_artifact,
 )
 from repro.stats.campaign import ReplicationSummary, _replication_success
 
@@ -253,8 +256,8 @@ class TestRunThreshold:
 class TestArtifact:
     def test_schema_matches_the_gate(self, tmp_path):
         result = run_threshold(TINY)
-        path = write_threshold_artifact(result, name="t_test",
-                                        directory=str(tmp_path))
+        path = write_bench_artifact("t_test", result.metrics(), result.directions(),
+                                    result.meta(), directory=str(tmp_path))
         payload = json.loads(path.read_text())
         assert path.name == "BENCH_t_test.json"
         assert payload["name"] == "t_test"
@@ -263,13 +266,27 @@ class TestArtifact:
         for key in ("schedulers", "shapes", "n_replications", "base_seed",
                     "python", "platform", "cpu_count"):
             assert key in payload["meta"]
+        assert payload["directions"] == result.directions()
 
     def test_env_var_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_ARTIFACTS", str(tmp_path / "art"))
         result = run_threshold(TINY)
-        path = write_threshold_artifact(result, name="t_env")
+        path = write_bench_artifact("t_env", result.metrics(), result.directions())
         assert path.parent == tmp_path / "art"
         assert path.exists()
+
+    def test_stamps_the_source_revision(self, tmp_path):
+        try:
+            sha = subprocess.run(
+                ["git", "rev-parse", "HEAD"], cwd=Path(repro.__file__).parent,
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip("package not loaded from a git checkout")
+        path = write_bench_artifact("t_git", {"m": 1.0}, directory=tmp_path)
+        meta = json.loads(path.read_text())["meta"]
+        assert meta["git_sha"] == sha
+        assert isinstance(meta["git_dirty"], bool)
 
 
 class TestRenderThreshold:

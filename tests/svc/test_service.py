@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.artifacts import write_bench_artifact
 from repro.experiments import synthesize_taskset
 from repro.obs import EventKind, events_from_jsonl
 from repro.sim import WallClock
@@ -20,7 +21,6 @@ from repro.svc import (
     ServiceCore,
     build_schedule,
     run_load_test,
-    write_loadtest_artifact,
 )
 from repro.svc.loadgen import _Connection
 
@@ -303,7 +303,8 @@ def test_small_load_replay_end_to_end(tmp_path):
     text = report.render()
     assert "jobs/s sustained" in text and "deadline-hit rate" in text
 
-    path = write_loadtest_artifact(report, name="svc_test", directory=str(tmp_path))
+    path = write_bench_artifact("svc_test", report.metrics(), report.directions(),
+                                report.meta(), directory=str(tmp_path))
     payload = json.loads(path.read_text())
     assert payload["name"] == "svc_test"
     assert set(payload["metrics"]) == set(payload["directions"])
