@@ -1,6 +1,6 @@
 """Discrete-event simulation of a preemptive DVS uniprocessor."""
 
-from .clock import Clock, ClockDrift, FakeClock, SimClock, WallClock, as_clock
+from .clock import ClockDrift, WallClock
 from .engine import Engine, SimulationError, SimulationResult
 from .job import Job, JobStatus
 from .metrics import Metrics, TaskMetrics
@@ -28,10 +28,6 @@ __all__ = [
     "Platform",
     "simulate",
     "compare",
-    "Clock",
     "ClockDrift",
-    "SimClock",
     "WallClock",
-    "FakeClock",
-    "as_clock",
 ]

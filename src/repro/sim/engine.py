@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cpu import EnergyModel, FrequencyScale, Processor, ProcessorStats
 from ..obs import EventKind, Observer
-from .clock import Clock, as_clock
 from .scheduler import ArrivalWindow, Scheduler, SchedulerView, SchedulingEvent
 from .job import Job, JobStatus
 from .metrics import Metrics
@@ -232,7 +231,6 @@ class Engine:
         observer: Optional[Observer] = None,
         runtime: Optional["AdaptiveRuntime"] = None,
         checker: Optional["InvariantChecker"] = None,
-        clock: Union[None, str, Clock] = None,
     ):
         self.workload = workload
         self.scheduler = scheduler
@@ -255,10 +253,6 @@ class Engine:
         self.observer = observer
         self.runtime = runtime
         self.checker = checker
-        #: Time source.  ``None``/``"sim"`` keep discrete-event jumps;
-        #: a non-virtual clock (``"wall"``) makes the loop *wait* for
-        #: each event instant before applying it (see repro.sim.clock).
-        self.clock = as_clock(clock)
         #: Execution timeline of each core (the checker's audit reads it).
         self.traces: Optional[List[Trace]] = (
             [Trace() for _ in self.cores]
@@ -380,15 +374,6 @@ class Engine:
         # hooks, same zero-cost-when-detached contract as `obs` and `rt`;
         # everything else it checks is audited after the run.
         ck = self.checker
-        # Real-time driver (optional): with a non-virtual clock attached
-        # the loop waits for each event instant (arrival, predicted
-        # completion, termination deadline) before applying it.  The
-        # virtual path adds exactly one boolean branch per iteration —
-        # no new float operations — so sim runs stay bit-identical.
-        clk = self.clock
-        realtime = clk is not None and not clk.virtual
-        if clk is not None:
-            clk.start()
         deferred_heap: List[Tuple[float, int, Job]] = []
         deferred_seq = 0
 
@@ -629,11 +614,6 @@ class Engine:
             t_next = min(horizon, t_arrival, t_term, t_complete)
             if t_next < t:
                 t_next = t  # coincident events; process without moving
-            if realtime:
-                # Deadline timer: block until the event instant passes
-                # on the wall clock (lag lands in clk.drift), then apply
-                # exactly the simulated state change.
-                clk.wait_until(t_next)
 
             # --- advance ------------------------------------------------
             dt = t_next - t

@@ -52,13 +52,6 @@ class TaskMetrics:
             return 1.0
         return self.met_requirement / decided
 
-    @property
-    def critical_time_hit_rate(self) -> float:
-        decided = self.released - self.unfinished
-        if decided == 0:
-            return 1.0
-        return self.met_critical_time / decided
-
 
 class Metrics:
     """Whole-run summary built from the final job population."""

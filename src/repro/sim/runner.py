@@ -13,7 +13,6 @@ import numpy as np
 
 from ..cpu import EnergyModel, FrequencyScale, Processor
 from ..obs import Observer
-from .clock import Clock
 from .scheduler import Scheduler
 from .engine import Engine, SimulationResult
 from .task import TaskSet
@@ -91,7 +90,6 @@ def simulate(
     observer: Optional[Observer] = None,
     runtime: Optional["AdaptiveRuntime"] = None,
     checker: Optional["InvariantChecker"] = None,
-    clock: Union[None, str, Clock] = None,
 ) -> SimulationResult:
     """Run ``scheduler`` over ``workload`` and return the result.
 
@@ -105,10 +103,9 @@ def simulate(
     enforcement, admission control); it is single-use — pass a fresh
     instance per run.  ``checker`` attaches an observe-only
     :class:`~repro.check.InvariantChecker`; like ``runtime`` it is
-    single-use per run.  ``clock`` selects the time source:
-    ``None``/``"sim"`` run discrete-event (bit-identical), ``"wall"``
-    or a :class:`~repro.sim.clock.Clock` instance makes the engine wait
-    for each event instant in real time (the service driver).
+    single-use per run.  The run is discrete-event: time jumps from
+    one scheduling event to the next, never waiting on a real clock
+    (the live service paces its own core; see :mod:`repro.svc`).
     """
     platform = platform if platform is not None else Platform()
     trace = _as_workload(workload, horizon, rng, seed)
@@ -120,7 +117,6 @@ def simulate(
         observer=observer,
         runtime=runtime,
         checker=checker,
-        clock=clock,
     )
     return engine.run()
 

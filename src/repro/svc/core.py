@@ -18,8 +18,8 @@ It binds the paper's online machinery to an *open* arrival stream:
   streams as JSONL.
 
 Time is whatever the caller says it is (``t`` arguments throughout), so
-the core is clock-agnostic: the service feeds it a
-:class:`~repro.sim.clock.WallClock`, tests feed it literals.
+the core holds no clock: the service feeds it the ``now()`` of a
+:class:`~repro.sim.clock.WallClock`, tests feed it literal times.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs import events_to_jsonl
-from ..sim.clock import Clock, WallClock
+from ..sim.clock import WallClock
 from .core import ServiceCore, UnknownTaskError
 
 __all__ = ["SchedulerService"]
@@ -49,7 +49,7 @@ class SchedulerService:
     def __init__(
         self,
         core: ServiceCore,
-        clock: Optional[Clock] = None,
+        clock: Optional[WallClock] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
@@ -318,7 +318,7 @@ class SchedulerService:
         """Stats payload: core counters + clock drift + clock time."""
         out = self.core.stats()
         out["clock_now"] = self.clock.now()
-        out["clock_rate"] = getattr(self.clock, "rate", 1.0)
+        out["clock_rate"] = self.clock.rate
         out["drift"] = self.clock.drift.summary()
         return out
 

@@ -1,65 +1,11 @@
-"""Clock abstraction tests: semantics of each clock, the engine's
-wall-clock driver seam, and sim-clock byte-identity to the golden
-traces (the PR 10 "don't perturb the simulator" guarantee)."""
+"""Wall-clock tests: rate scaling, anchoring, and the drift accounting
+the service's executor records through ``note_lag``."""
 
-import json
 import time
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.experiments import synthesize_taskset
-from repro.obs import Observer, events_to_jsonl
-from repro.sched import make_scheduler
-from repro.sim import (
-    Clock,
-    FakeClock,
-    Platform,
-    SimClock,
-    WallClock,
-    materialize,
-    simulate,
-)
-from repro.sim.clock import as_clock
-
-GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "eua_star.jsonl"
-
-SEED = 11
-LOAD = 0.8
-HORIZON = 0.4
-
-
-def _fixed_trace():
-    rng = np.random.default_rng(SEED)
-    taskset = synthesize_taskset(LOAD, rng)
-    return materialize(taskset, HORIZON, rng)
-
-
-# ----------------------------------------------------------------------
-# Clock semantics
-# ----------------------------------------------------------------------
-class TestSimClock:
-    def test_jumps_to_requested_instant(self):
-        clk = SimClock()
-        assert clk.virtual
-        assert clk.now() == 0.0
-        clk.wait_until(1.5)
-        assert clk.now() == 1.5
-
-    def test_never_moves_backwards(self):
-        clk = SimClock()
-        clk.wait_until(2.0)
-        clk.wait_until(1.0)
-        assert clk.now() == 2.0
-
-    def test_zero_drift_by_construction(self):
-        clk = SimClock()
-        for t in (0.1, 0.2, 0.7):
-            assert clk.wait_until(t) == 0.0
-        assert clk.drift.waits == 3
-        assert clk.drift.punctual == 3
-        assert clk.drift.total_lag == 0.0
+from repro.sim import WallClock
 
 
 class TestWallClock:
@@ -76,19 +22,23 @@ class TestWallClock:
         target = clk.now() + 1.0  # 1 clock-second => 0.1 wall seconds
         assert clk.wall_remaining(target) == pytest.approx(0.1, abs=0.02)
 
-    def test_wait_until_blocks_and_records_drift(self):
-        clk = WallClock(rate=1.0)
-        clk.start()
-        lag = clk.wait_until(clk.now() + 0.01)
-        assert lag >= 0.0
-        assert clk.drift.waits == 1
-        assert clk.drift.last_lag == lag
-
-    def test_past_instant_returns_immediately(self):
+    def test_note_lag_records_past_gap(self):
         clk = WallClock()
         clk.start()
-        lag = clk.wait_until(-1.0)
+        lag = clk.note_lag(-1.0)
         assert lag >= 1.0  # already past by at least a second
+        assert clk.drift.waits == 1
+        assert clk.drift.punctual == 0
+        assert clk.drift.last_lag == lag
+        assert clk.drift.max_lag == lag
+
+    def test_note_lag_future_target_is_punctual(self):
+        clk = WallClock()
+        clk.start()
+        assert clk.note_lag(clk.now() + 60.0) == 0.0
+        assert clk.drift.waits == 1
+        assert clk.drift.punctual == 1
+        assert clk.drift.total_lag == 0.0
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -104,132 +54,3 @@ class TestWallClock:
         time.sleep(0.002)
         clk.start()
         assert clk._anchor == anchor
-
-
-class TestFakeClock:
-    def test_records_wait_sequence(self):
-        clk = FakeClock()
-        clk.wait_until(0.1)
-        clk.wait_until(0.3)
-        assert clk.waits == [0.1, 0.3]
-        assert clk.now() == 0.3
-
-    def test_scripted_lags_advance_now(self):
-        clk = FakeClock(lags=[0.05])
-        lag = clk.wait_until(1.0)
-        assert lag == pytest.approx(0.05)
-        assert clk.now() == pytest.approx(1.05)
-        # Script exhausted: punctual afterwards.
-        assert clk.wait_until(2.0) == 0.0
-
-    def test_drift_aggregates_scripted_lags(self):
-        clk = FakeClock(lags=[0.01, 0.02])
-        clk.wait_until(1.0)
-        clk.wait_until(2.0)
-        assert clk.drift.waits == 2
-        assert clk.drift.max_lag == pytest.approx(0.02)
-        assert clk.drift.mean_lag == pytest.approx(0.015)
-
-
-class TestAsClock:
-    def test_none_stays_none(self):
-        assert as_clock(None) is None
-
-    def test_instance_passes_through(self):
-        clk = FakeClock()
-        assert as_clock(clk) is clk
-
-    def test_sim_and_wall_names(self):
-        assert isinstance(as_clock("sim"), SimClock)
-        assert isinstance(as_clock("wall"), WallClock)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown clock"):
-            as_clock("lamport")
-
-    def test_clock_is_abstract(self):
-        with pytest.raises(TypeError):
-            Clock()
-
-
-# ----------------------------------------------------------------------
-# Engine wall-clock driver (FakeClock harness)
-# ----------------------------------------------------------------------
-class TestEngineRealtimeDriver:
-    def test_waits_cover_events_in_order(self):
-        """A non-virtual clock is waited on for every event instant, in
-        nondecreasing order — arrivals and the TUF termination timers."""
-        trace = _fixed_trace()
-        clk = FakeClock()
-        result = simulate(trace, make_scheduler("EUA*"), Platform(), clock=clk)
-        assert clk.waits, "engine never consulted the wall clock"
-        assert clk.waits == sorted(clk.waits)
-        assert clk.waits[-1] <= HORIZON + 1e-9
-        # Every arrival inside the horizon is an event the driver
-        # waited for (deadline timers and completions interleave).
-        # Releases at t=0 are drained at clock start, before any wait.
-        arrivals = [j.release for j in trace.jobs if 0.0 < j.release < HORIZON]
-        for t in arrivals:
-            assert any(abs(w - t) < 1e-12 for w in clk.waits)
-        assert result.jobs, "workload should produce jobs"
-
-    def test_deadline_timer_instants_are_waited_on(self):
-        """Expired jobs are aborted at their termination instant, and
-        that instant appears in the wait sequence (the deadline timer
-        fired rather than being processed retroactively)."""
-        trace = _fixed_trace()
-        clk = FakeClock()
-        result = simulate(trace, make_scheduler("EUA*"), Platform(), clock=clk)
-        expired = [j for j in result.jobs if j.status.name == "EXPIRED"]
-        waits = clk.waits
-        for job in expired:
-            assert any(abs(w - job.abort_time) < 1e-9 for w in waits), (
-                f"no deadline-timer wait at t={job.abort_time} for {job.key}"
-            )
-
-    def test_drift_has_one_record_per_wait(self):
-        clk = FakeClock()
-        simulate(_fixed_trace(), make_scheduler("EUA*"), Platform(), clock=clk)
-        assert clk.drift.waits == len(clk.waits)
-        assert clk.drift.punctual == len(clk.waits)
-
-    def test_scripted_lag_lands_in_drift_not_results(self):
-        """Injected lateness is accounted in drift; the *logical* result
-        (event sequence) is unchanged because the engine applies the
-        same simulated state change after the wait."""
-        trace = _fixed_trace()
-        punctual, late = Observer(events=True), Observer(events=True)
-        simulate(trace, make_scheduler("EUA*"), Platform(),
-                 observer=punctual, clock=FakeClock())
-        lagged = FakeClock(lags=[1e-4] * 5)
-        simulate(trace, make_scheduler("EUA*"), Platform(),
-                 observer=late, clock=lagged)
-        assert lagged.drift.total_lag == pytest.approx(5e-4)
-        assert events_to_jsonl(punctual.events) == events_to_jsonl(late.events)
-
-
-# ----------------------------------------------------------------------
-# Sim-clock byte-identity (the golden-trace pin)
-# ----------------------------------------------------------------------
-class TestSimClockIdentity:
-    @pytest.mark.parametrize("clock", [None, "sim", SimClock()],
-                             ids=["none", "name", "instance"])
-    def test_golden_trace_identical(self, clock):
-        """`clock=None`, `clock="sim"` and an explicit SimClock replay
-        the frozen EUA* workload byte-identically to the golden log."""
-        observer = Observer(events=True, metrics=False)
-        simulate(_fixed_trace(), make_scheduler("EUA*"), Platform(),
-                 observer=observer, clock=clock)
-        replay = events_to_jsonl(observer.events)
-        golden = GOLDEN.read_text()
-        assert [json.loads(x) for x in replay.splitlines()] == [
-            json.loads(x) for x in golden.splitlines()
-        ]
-        assert replay == golden  # byte-identical, not just equivalent
-
-    def test_sim_clock_tracks_engine_time(self):
-        clk = SimClock()
-        simulate(_fixed_trace(), make_scheduler("EUA*"), Platform(), clock=clk)
-        # A virtual clock is never waited on by the engine.
-        assert clk.drift.waits == 0
-        assert clk.now() == 0.0
