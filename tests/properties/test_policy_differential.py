@@ -9,10 +9,11 @@ shared skeleton.
 
 On step-TUF workloads that are underloaded in the budget sense (EDF
 completes every job when each demand is its Chebyshev allocation),
-EUA*-noDVS accrues exactly EDF's utility (Theorem 2).  At overload neither dominates: UER
-ranking is greedy utility density, which can lose a knapsack EDF's
-urgency order happens to win — one pinned case documents that.  EUA*'s
-accrued utility is invariant to uniform scaling of all TUF heights.
+EUA*-noDVS accrues exactly EDF's utility (Theorem 2).  At overload
+neither dominates: UER ranking is greedy utility density, which can
+lose a knapsack EDF's urgency order happens to win — one pinned case
+documents that.  EUA*'s accrued utility is invariant to uniform scaling
+of all TUF heights.
 """
 
 import dataclasses
@@ -56,8 +57,8 @@ def step_scenarios(draw):
     return _step_taskset(load, params), seed
 
 
-def _trace(taskset, seed, horizon=1.2):
-    return materialize(taskset, horizon, np.random.default_rng(seed))
+def _trace(taskset, seed):
+    return materialize(taskset, 1.2, np.random.default_rng(seed))
 
 
 def _run_trace(trace, policy):
