@@ -129,30 +129,18 @@ class EUAStar(Scheduler):
     def decide(self, view: SchedulerView) -> Decision:
         t = view.time
         f_m = view.scale.f_max
-        model = view.energy_model
         obs = self.observer
         # Span tracing: hoisted once per decide, like the engine's spans.
         sp = obs.spans if obs is not None else None
         if sp is not None:
             sp.enter("core.eua_construct")
 
-        aborts: List[Job] = []
-        ranked: List[Tuple[float, float, Job]] = []
-        for job in view.ready:
-            if not job_feasible(job, t, f_m):
-                if self.abort_infeasible and job.task.abortable:
-                    aborts.append(job)
-                if obs is not None:
-                    obs.emit(t, EventKind.REJECT, job.key, source=self.name,
-                             reason="individually-infeasible")
-                    obs.inc("sigma_rejections", reason="individually-infeasible")
-                continue
-            metric = self._metric(job, t, f_m, model)
-            ranked.append((metric, job.critical_time, job))
-
-        # Non-increasing metric; ties resolved by earlier critical time,
-        # then release order for determinism.
-        ranked.sort(key=lambda e: (-e[0], e[1], e[2].release, e[2].index))
+        aborts, skipped, ranked = self._rank(view, t, f_m)
+        if obs is not None:
+            for job in skipped:
+                obs.emit(t, EventKind.REJECT, job.key, source=self.name,
+                         reason="individually-infeasible")
+                obs.inc("sigma_rejections", reason="individually-infeasible")
 
         if self.incremental:
             head = self._build_sigma_incremental(ranked, t, f_m, obs, sp)
@@ -205,6 +193,54 @@ class EUAStar(Scheduler):
         )
 
     # ------------------------------------------------------------------
+    def _rank(
+        self, view: SchedulerView, t: float, f_m: float
+    ) -> Tuple[List[Job], List[Job], List[Tuple[float, float, Job]]]:
+        """Lines 10–11 and the UER sort: ``(aborts, skipped, ranked)``.
+
+        ``skipped`` holds the individually infeasible jobs in ready
+        order, ``aborts`` the ones among them to abort; ``ranked`` holds
+        ``(metric, critical_time, job)`` for the rest, by non-increasing
+        metric, then earlier critical time, then release order.
+
+        Done once per scheduling event: the lists are stored in the
+        view's :attr:`~repro.sim.scheduler.SchedulerView.memo` with the
+        view they were made for, and a view derived by ``without()``
+        filters them by its own membership.  Same instant and job
+        states give the same metrics, and the sort key is total up to
+        ready order, which ``without()`` keeps, so this equals a fresh
+        pass.  The same view asking again, or a view holding jobs the
+        stored lists lack, gets a fresh pass.
+        """
+        memo = view.memo
+        entry = memo.get(self)
+        ready = view.ready
+        if entry is not None and entry[0] != id(view):
+            keep = set(ready)
+            skipped = [j for j in entry[2] if j in keep]
+            ranked = [e for e in entry[3] if e[2] in keep]
+            if len(skipped) + len(ranked) == len(ready):
+                aborts = [j for j in entry[1] if j in keep]
+                memo[self] = (id(view), aborts, skipped, ranked)
+                return aborts, skipped, ranked
+
+        model = view.energy_model
+        abort_infeasible = self.abort_infeasible
+        aborts: List[Job] = []
+        skipped: List[Job] = []
+        ranked: List[Tuple[float, float, Job]] = []
+        for job in ready:
+            if not job_feasible(job, t, f_m):
+                if abort_infeasible and job.task.abortable:
+                    aborts.append(job)
+                skipped.append(job)
+                continue
+            metric = self._metric(job, t, f_m, model)
+            ranked.append((metric, job.critical_time, job))
+        ranked.sort(key=lambda e: (-e[0], e[1], e[2].release, e[2].index))
+        memo[self] = (id(view), aborts, skipped, ranked)
+        return aborts, skipped, ranked
+
     def _build_sigma_incremental(
         self,
         ranked: List[Tuple[float, float, Job]],

@@ -11,7 +11,12 @@ contract so every uniprocessor policy runs unchanged:
 * **global** — one shared ready queue; at every scheduling event the
   policy's ``decide`` is invoked repeatedly over residual views
   (``view.without(...)``) to pick the top-m jobs by its own ordering
-  (UER for EUA*), each with its own per-core frequency decision.  Jobs
+  (UER for EUA*), each with its own per-core frequency decision.  The
+  views of one event share a per-event memo, so EUA* ranks the ready
+  jobs once per event and each later call filters that one ranking
+  (σ is still rebuilt per call).  The per-core frequency step runs
+  only for policies that override ``decide_frequency`` (EUA*, REUA);
+  for fixed-frequency ones (EDF, LA-EDF, DASA…) it is skipped.  Jobs
   may resume on a different core than they last ran on; such migrations
   are counted and emitted as :attr:`~repro.obs.EventKind.MIGRATE`.
 

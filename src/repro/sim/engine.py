@@ -29,13 +29,20 @@ Cores
 The loop runs over a list of ``m`` processors sharing one ready queue.
 Dispatch is the only step that depends on ``m``: ``decide`` is called
 once per core over residual views (``view.without(...)``) until the
-policy idles, so at ``m = 1`` it is exactly one call.  With ``m > 1``
+policy idles, so at ``m = 1`` it is exactly one call.  The views of one
+event share a per-event memo (:attr:`SchedulerView.memo`), so a policy
+can do its per-event work once: EUA* ranks the ready jobs on the first
+call and filters that ranking on the later ones.  With ``m > 1``
 the picks are placed affinity-first (a job resumes on the core it last
 ran on when that core is free; other moves count as migrations) and
 each busy core then gets its own frequency decision over a per-core
-residual view.  Built over a single :class:`~repro.cpu.Processor` the
-engine is the uniprocessor; built over a list it tags every per-core
-event with ``core=k`` (see :class:`repro.mp.GlobalEngine`).
+residual view.  That step runs only for a policy whose class overrides
+:meth:`Scheduler.decide_frequency` (decided once per run); for
+fixed-frequency policies such as EDF it would keep every selection
+frequency, so it is skipped.  Built over a single
+:class:`~repro.cpu.Processor` the engine is the uniprocessor; built
+over a list it tags every per-core event with ``core=k`` (see
+:class:`repro.mp.GlobalEngine`).
 """
 
 from __future__ import annotations
@@ -387,6 +394,12 @@ class Engine:
         #: Static half of the per-core residual views (m > 1 only),
         #: built at the first dispatch and dropped on reallocation.
         plan: Optional[ResidualPlan] = None
+        #: Whether the per-core frequency step runs at all: only for a
+        #: policy whose class overrides `decide_frequency` (the default
+        #: keeps every selection-round frequency, so the step is a no-op).
+        core_freq = multi and (
+            type(scheduler).decide_frequency is not Scheduler.decide_frequency
+        )
         # Progress guard: every iteration must either advance time or
         # change the job population; bound the zero-progress streak.
         stall_guard = 0
@@ -533,7 +546,7 @@ class Engine:
                         k = min(free)
                     assigned[k] = pick
                     free.discard(k)
-                if picks:
+                if core_freq and picks:
                     if tracing:
                         sp.enter("engine.core_freq")
                     if plan is None:

@@ -132,6 +132,7 @@ class SchedulerView:
         "energy_consumed",
         "_pending",
         "dvs",
+        "_memo",
     )
 
     def __init__(
@@ -179,6 +180,29 @@ class SchedulerView:
         #: grouping pass serves every ``pending_of``-family query of the
         #: decision point instead of a scan-and-sort per call.
         self._pending: Optional[Dict[int, List[Job]]] = None
+        #: Per-event scratch (see :attr:`memo`); ``None`` until asked for.
+        self._memo: Optional[dict] = None
+
+    @property
+    def memo(self) -> dict:
+        """Per-event scratch a policy may cache derived state in.
+
+        One dict per scheduling event: :meth:`without` hands it to the
+        view it derives, so the m ``decide`` calls of one global
+        dispatch round read the same dict, and a view built afresh
+        starts an empty one.  **Contract:** a derived view is the same
+        instant with a subset of the jobs, and the engine changes no
+        job between the ``decide`` calls of one event, so state computed
+        from a job at this instant holds on every view of the chain.
+        Entries are keyed by the policy object that wrote them.  A
+        second ``decide`` on the *same* view must not trust the memo
+        (the caller may have advanced a job in between); see
+        ``EUAStar._rank``.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        return memo
 
     # ------------------------------------------------------------------
     def _pending_map(self) -> Dict[int, List[Job]]:
@@ -273,12 +297,15 @@ class SchedulerView:
 
         Used by policies that decide to abort jobs and then reason about
         the remaining workload (e.g. EUA*'s DVS step must not budget
-        cycles for jobs it just dropped).
+        cycles for jobs it just dropped), and by global dispatch for
+        each further selection call of one event.  The derived view
+        keeps the ready order and shares this view's per-event
+        :attr:`memo` (it is the same instant with a subset of the jobs).
         """
-        dropped = set(id(j) for j in jobs)
-        return SchedulerView(
+        dropped = set(jobs)  # Job hashes by identity
+        view = SchedulerView(
             time=self.time,
-            ready=[j for j in self.ready if id(j) not in dropped],
+            ready=[j for j in self.ready if j not in dropped],
             taskset=self.taskset,
             scale=self.scale,
             energy_model=self.energy_model,
@@ -287,6 +314,8 @@ class SchedulerView:
             energy_consumed=self.energy_consumed,
             dvs=self.dvs,
         )
+        view._memo = self.memo
+        return view
 
     def earliest_critical_time(self, task: Task) -> float:
         """``D_i^a`` — the earliest pending invocation's absolute critical
@@ -346,6 +375,13 @@ class Scheduler(ABC):
         ``None`` (the default) tells the engine to keep the frequency
         of the selection-round :class:`Decision` — correct for
         fixed-frequency policies like EDF.
+
+        The engine checks once per run whether the policy's class
+        overrides this method.  If it does not, the engine skips the
+        per-core step (residual views, per-core views, this call)
+        entirely, since the default answers ``None`` for every core.
+        A policy that wants per-core frequencies must therefore
+        override it in its class, not assign it on an instance.
         """
         return None
 

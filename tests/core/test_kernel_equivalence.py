@@ -16,6 +16,7 @@ engine actually produces.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +39,16 @@ from repro.core import (
 )
 from repro.cpu import EnergyModel, FrequencyScale, Processor
 from repro.demand import DeterministicDemand, NormalDemand
-from repro.sim import Engine, Job, Task, TaskSet, materialize
-from repro.sim.scheduler import ArrivalWindow, pending_of_reference
+from repro.experiments import synthesize_taskset
+from repro.mp import GlobalEngine, MulticorePlatform
+from repro.obs import Observer, events_to_jsonl
+from repro.sim import Engine, Job, Platform, Task, TaskSet, materialize
+from repro.sim.scheduler import (
+    ArrivalWindow,
+    SchedulerView,
+    SchedulingEvent,
+    pending_of_reference,
+)
 from repro.tuf import LinearTUF, StepTUF
 
 
@@ -47,8 +56,11 @@ from repro.tuf import LinearTUF, StepTUF
 # Strategies
 # ----------------------------------------------------------------------
 @st.composite
-def uam_scenarios(draw):
-    """A synthesised UAM task set (mixed burst sizes) plus a seed."""
+def uam_scenarios(draw, non_abortable=False):
+    """A synthesised UAM task set (mixed burst sizes) plus a seed.
+
+    With ``non_abortable`` each task is drawn abortable or not, so
+    individually infeasible jobs the policy may not abort stay ready."""
     n = draw(st.integers(min_value=2, max_value=5))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     load = draw(st.floats(min_value=0.3, max_value=1.8))
@@ -69,9 +81,10 @@ def uam_scenarios(draw):
             arrivals = BurstUAMArrivals(spec)
         else:
             arrivals = ScatteredUAMArrivals(spec)
+        abortable = not (non_abortable and draw(st.booleans()))
         tasks.append(
             Task(f"T{i}", tuf, NormalDemand(mean, mean * 0.15),
-                 spec, arrivals=arrivals, nu=nu, rho=0.9)
+                 spec, arrivals=arrivals, nu=nu, rho=0.9, abortable=abortable)
         )
     return TaskSet(tasks).scaled_to_load(load, 1000.0), seed
 
@@ -275,3 +288,141 @@ def test_arrival_window_defaults_span_the_log():
     log = [0.1, 0.2, 0.3]
     assert list(ArrivalWindow(log)) == log
     assert len(ArrivalWindow(log, 1)) == 2
+
+
+# ----------------------------------------------------------------------
+# EUA*'s per-event ranking memo vs memo-less views
+# ----------------------------------------------------------------------
+def _memoless(view):
+    """A fresh copy of ``view`` with the same jobs and no memo: every
+    ``decide`` on it runs the feasibility/UER/sort pass afresh."""
+    return SchedulerView(view.time, view.ready, view.taskset, view.scale,
+                         view.energy_model, view.event,
+                         view._arrivals_in_window, view.energy_consumed,
+                         view.dvs)
+
+
+def _jsonl_from_zero(events):
+    """JSONL of a run of events, renumbered from ``seq`` 0 (the two
+    answers of one call land at different offsets of their logs)."""
+    return events_to_jsonl(replace(e, seq=i) for i, e in enumerate(events))
+
+
+class _MemoOracle(EUAStar):
+    """EUA* that answers each selection call twice and compares.
+
+    Once on the view the engine handed it, which reads the per-event
+    memo shared along the ``without()`` chain, and once by a twin policy
+    on a memo-less copy of the same view.  The two decisions must agree
+    in job identity, frequency and aborts, and the events each answer
+    emits must serialise to the same JSONL."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.twin = EUAStar(**kwargs)
+        self.twin.bind_observer(Observer(events=True, metrics=False))
+        self.calls = 0
+        #: Calls whose view found a ranking stored by an earlier view.
+        self.derived = 0
+
+    def setup(self, taskset, scale, energy_model):
+        super().setup(taskset, scale, energy_model)
+        self.twin.setup(taskset, scale, energy_model)
+
+    def decide(self, view):
+        self.derived += view.memo.get(self) is not None
+        mine = self.observer.events.events
+        theirs = self.twin.observer.events.events
+        start, mark = len(mine), len(theirs)
+        got = super().decide(view)
+        want = self.twin.decide(_memoless(view))
+        assert got.job is want.job
+        assert got.frequency == want.frequency
+        assert len(got.aborts) == len(want.aborts)
+        assert all(a is b for a, b in zip(got.aborts, want.aborts))
+        assert _jsonl_from_zero(mine[start:]) == _jsonl_from_zero(theirs[mark:])
+        self.calls += 1
+        return got
+
+
+class _Memoless(EUAStar):
+    """EUA* that never reads a memo: the whole-run oracle."""
+
+    def decide(self, view):
+        return super().decide(_memoless(view))
+
+
+#: EUA* settings the memo must hold under (each changes the ranking or σ).
+MEMO_VARIANTS = {
+    "uer": {},
+    "utility_density": {"ordering": "utility_density"},
+    "no-abort": {"abort_infeasible": False},
+    "strict-break": {"strict_insertion_break": True},
+    "reference-sigma": {"incremental": False},
+}
+
+
+def _global_events(trace, policy, m):
+    """Run ``policy`` globally on ``m`` cores; the run's event JSONL."""
+    obs = Observer(events=True, metrics=False)
+    platform = MulticorePlatform.from_platform(Platform(), cores=m)
+    GlobalEngine(trace, policy, platform, observer=obs).run()
+    return events_to_jsonl(obs.events)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@given(scenario=uam_scenarios(non_abortable=True),
+       variant=st.sampled_from(sorted(MEMO_VARIANTS)))
+@settings(max_examples=8, deadline=None)
+def test_ranking_memo_matches_memoless_views(m, scenario, variant):
+    """Each selection call of global dispatch answers exactly as a
+    memo-less view of the same jobs would, and so does the whole run."""
+    taskset, seed = scenario
+    taskset = taskset.scaled_to_load(taskset.load(1000.0) * m, 1000.0)
+    trace = materialize(taskset, 0.5, np.random.default_rng(seed))
+    kwargs = MEMO_VARIANTS[variant]
+    oracle = _MemoOracle(**kwargs)
+    probed = _global_events(trace, oracle, m)
+    assert oracle.calls > 0
+    assert probed == _global_events(trace, _Memoless(**kwargs), m)
+
+
+def test_ranking_memo_serves_the_later_selection_calls():
+    """On a loaded 4-core run the later selection calls of an event do
+    read the ranking the first call stored (the oracle above would
+    pass vacuously otherwise)."""
+    rng = np.random.default_rng(5)
+    trace = materialize(synthesize_taskset(3.2, rng), 0.5, rng)
+    oracle = _MemoOracle()
+    _global_events(trace, oracle, 4)
+    assert 0 < oracle.derived < oracle.calls
+
+
+def test_second_decide_on_same_view_recomputes():
+    """The memo serves the *derived* views of an event, never the same
+    view twice: after a job advances, a second ``decide`` on the view
+    answers like a fresh view (a stale ranking would abort job B)."""
+    scale, model = FrequencyScale.powernow_k6(), EnergyModel.e1()
+    f_max = scale.f_max
+    a = Task("A", StepTUF(100.0, 1.0), DeterministicDemand(0.6 * f_max),
+             UAMSpec(1, 1.0))
+    b = Task("B", StepTUF(10.0, 0.9), DeterministicDemand(1.0 * f_max),
+             UAMSpec(1, 0.9))
+    taskset = TaskSet([a, b])
+    job_a, job_b = Job(a, 0, 0.0, a.allocation), Job(b, 0, 0.0, b.allocation)
+    view = SchedulerView(0.0, [job_a, job_b], taskset, scale, model,
+                         SchedulingEvent.ARRIVAL, {"A": [0.0], "B": [0.0]})
+    policy = EUAStar()
+    policy.setup(taskset, scale, model)
+
+    first = policy.decide(view)
+    assert first.job is job_a and first.aborts == (job_b,)
+
+    job_b.executed = 0.95 * f_max  # B now finishes in 0.05 s, ahead of A
+    again = policy.decide(view)
+    fresh = EUAStar()
+    fresh.setup(taskset, scale, model)
+    want = fresh.decide(_memoless(view))
+    assert again.job is want.job is job_b
+    assert again.frequency == want.frequency
+    assert again.aborts == want.aborts == ()

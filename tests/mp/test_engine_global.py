@@ -6,7 +6,7 @@ import pytest
 from repro.check import InvariantChecker, check_mp_result
 from repro.experiments import synthesize_taskset
 from repro.mp import GlobalEngine, MulticorePlatform, simulate_global, simulate_mp
-from repro.sched import make_scheduler
+from repro.sched import EDFStatic, LAEDF, make_scheduler
 from repro.sim import Platform, materialize
 from repro.sim.engine import SimulationError
 
@@ -173,3 +173,65 @@ def test_global_run_records_engine_phase_spans(platform2):
     assert "engine.run/engine.decide/core.eua_construct" in paths
     report = build_phase_report(obs.spans)
     assert report.coverage() == pytest.approx(1.0, abs=0.10)
+
+
+# ----------------------------------------------------------------------
+# The per-core frequency step runs only for policies that override it
+# ----------------------------------------------------------------------
+def _with_core_step(cls):
+    """``cls`` with a ``decide_frequency`` override that answers ``None``.
+
+    The override keeps every selection-round frequency, exactly like the
+    base method, but it forces the engine through the per-core step
+    (residual views, per-core views, one call per busy core).  It is the
+    oracle for the engine's skip of that step.
+    """
+    return type(f"{cls.__name__}WithCoreStep", (cls,),
+                {"decide_frequency": lambda self, view, job: None})
+
+
+def _traced_global(policy, trace, platform):
+    from repro.obs import Observer
+
+    obs = Observer(events=True, metrics=True, spans=True)
+    result = simulate_global(trace, policy, platform, observer=obs)
+    return result, obs
+
+
+def _core_freq_spans(obs):
+    return [s for s in obs.spans.spans if s.path.endswith("engine.core_freq")]
+
+
+@pytest.mark.parametrize("cls, name", [(EDFStatic, "EDF"), (LAEDF, "LA-EDF")])
+def test_fixed_frequency_policy_skips_core_step_bit_identically(cls, name):
+    """EDF and LA-EDF do not override ``decide_frequency``, so the engine
+    skips the per-core step; the run is bit-identical to the same policy
+    forced through it, and no ``engine.core_freq`` span opens."""
+    from repro.obs import events_to_jsonl, metrics_to_jsonl
+
+    platform = MulticorePlatform.from_platform(Platform(), cores=4)
+    trace = _trace(load=0.8, cores=4, horizon=0.4)
+    skipped, skipped_obs = _traced_global(cls(name=name), trace, platform)
+    forced, forced_obs = _traced_global(_with_core_step(cls)(name=name), trace, platform)
+
+    assert events_to_jsonl(skipped_obs.events) == events_to_jsonl(forced_obs.events)
+    assert metrics_to_jsonl(skipped_obs.metrics) == metrics_to_jsonl(forced_obs.metrics)
+    assert skipped.energy == forced.energy
+    assert skipped.metrics.accrued_utility == forced.metrics.accrued_utility
+    assert skipped.migrations == forced.migrations
+    assert skipped.core_segments == forced.core_segments
+    assert [j.status for j in skipped.jobs] == [j.status for j in forced.jobs]
+    assert not _core_freq_spans(skipped_obs)
+    assert _core_freq_spans(forced_obs)
+
+
+@pytest.mark.parametrize("label", ["EUA*", "REUA"])
+def test_dvs_policies_keep_core_step(label):
+    """EUA* and REUA override ``decide_frequency``: the per-core step
+    still runs in its own ``engine.core_freq`` span."""
+    from repro.resources import REUA, ResourceMap
+
+    policy = REUA(ResourceMap({})) if label == "REUA" else make_scheduler(label)
+    platform = MulticorePlatform.from_platform(Platform(), cores=2)
+    _, obs = _traced_global(policy, _trace(load=0.8), platform)
+    assert _core_freq_spans(obs)
