@@ -22,9 +22,10 @@ from repro.experiments import synthesize_taskset
 from repro.experiments.adaptive import drifting_trace
 from repro.obs import Observer, events_to_jsonl
 from repro.resources import REUA, ResourceMap
-from repro.runtime import AdaptiveRuntime, RuntimeConfig
+from repro.runtime import AdaptiveRuntime, RuntimeConfig, ViolationPolicy
 from repro.sched import make_scheduler
 from repro.sim import Platform, materialize, simulate
+from repro.svc import ServiceCore
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -102,6 +103,58 @@ def record_events_jsonl(label: str, checker=None, spans: bool = False) -> str:
         taskset = synthesize_taskset(LOAD, rng)
         trace = materialize(taskset, HORIZON, rng)
         simulate(trace, factory(), Platform(), observer=observer, checker=checker)
+    return events_to_jsonl(observer.events)
+
+
+#: The live service's wire format: a scripted literal-time
+#: :class:`~repro.svc.ServiceCore` session over the same Table-1 task set,
+#: compared as text (the ``/events`` stream is served byte for byte).
+SVC_GOLDEN = GOLDEN_DIR / "svc_core.jsonl"
+
+
+def record_svc_session() -> str:
+    """Drive two service cores through every lifecycle path and return
+    their shared event log as JSONL text.
+
+    The first core (shed policy) admits, sheds a UAM burst, advances a
+    job part of the way, preempts it, completes the newcomer, has EUA*
+    abort a job that can no longer make its critical time, and expires
+    the rest.  The second (defer policy, admission derated 8x) defers a
+    burst, rejects and evicts on overload, and admits the deferred job
+    when its grant comes due.
+    """
+    observer = Observer(events=True, metrics=False)
+    taskset = synthesize_taskset(LOAD, np.random.default_rng(SEED))
+
+    core = ServiceCore(taskset, observer=observer)
+    core.submit("A1.0", 0.0)
+    assert core.submit("A1.0", 0.0).status == "shed"
+    core.submit("A2.0", 0.0)
+    decision = core.decide(0.0)
+    job, freq = decision.job, decision.frequency
+    t = job.remaining_demand / freq / 2
+    core.advance(job, t, freq)
+    assert not core.complete_if_done(job, t)
+    core.submit("A1.1", t)
+    decision = core.decide(t)
+    job, freq = decision.job, decision.frequency
+    dt = job.remaining_demand / freq
+    core.advance(job, dt, freq)
+    t += dt
+    assert core.complete_if_done(job, t)
+    core.submit("A1.2", t)
+    assert core.decide(t + taskset.by_name("A1.2").critical_time - 0.001).aborts
+    core.decide(5.0)
+    assert core.counters["expired"] == 2
+
+    core = ServiceCore(taskset, observer=observer,
+                       policy=ViolationPolicy.DEFER, headroom=8.0)
+    core.submit("A1.0", 0.0)
+    grant = core.submit("A1.0", 0.0).release
+    for name in ("A1.1", "A1.2", "A1.3", "A3.6", "A3.3"):
+        core.submit(name, 0.0)
+    core.decide(grant)
+    assert core.counters["rejected"] == 1 and core.counters["evicted"] == 5
     return events_to_jsonl(observer.events)
 
 

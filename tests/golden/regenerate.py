@@ -15,7 +15,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from golden._harness import CASES, golden_path, record_events_jsonl  # noqa: E402
+from golden._harness import (  # noqa: E402
+    CASES,
+    SVC_GOLDEN,
+    golden_path,
+    record_events_jsonl,
+    record_svc_session,
+)
 
 
 def main() -> int:
@@ -24,6 +30,8 @@ def main() -> int:
         path.write_text(record_events_jsonl(label))
         n = len(path.read_text().splitlines())
         print(f"wrote {path} ({n} events)")
+    SVC_GOLDEN.write_text(record_svc_session())
+    print(f"wrote {SVC_GOLDEN} ({len(SVC_GOLDEN.read_text().splitlines())} events)")
     return 0
 
 

@@ -16,10 +16,12 @@ import pytest
 from ._harness import (
     ADAPTIVE_LABEL,
     CASES,
+    SVC_GOLDEN,
     diff_events,
     golden_path,
     parse_jsonl,
     record_events_jsonl,
+    record_svc_session,
 )
 
 
@@ -71,3 +73,15 @@ def test_adaptive_golden_contains_runtime_events():
     assert "drift_detected" in kinds
     assert "reallocation" in kinds
     assert "admission_decision" in kinds
+
+
+def test_svc_session_matches_golden():
+    """The service's ``/events`` wire format, byte for byte: a scripted
+    literal-time ``ServiceCore`` session through admit, UAM shed,
+    deferral and grant, admission reject and evict, partial advance,
+    completion, a scheduler abort and expiry."""
+    text = record_svc_session()
+    if text != SVC_GOLDEN.read_text():
+        problems = diff_events(parse_jsonl(SVC_GOLDEN.read_text()), parse_jsonl(text))
+        pytest.fail("service session diverged from the golden trace:\n  "
+                    + "\n  ".join(problems or ["serialisation differs"]))
