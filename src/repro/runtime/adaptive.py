@@ -239,13 +239,14 @@ class AdaptiveRuntime:
                 return ArrivalVerdict("admit", evictions=verdict.evictions)
         return _ADMIT
 
-    def on_completion(self, job: Job, t: float) -> None:
-        """Feed the profiler; adapt allocations when drift is detected."""
+    def on_completion(self, job: Job, t: float) -> bool:
+        """Feed the profiler; adapt allocations when drift is detected.
+        Returns whether a task was reallocated."""
         if self.profiler is None:
-            return
+            return False
         report = self.profiler.observe(job.task.name, job.executed)
         if report is None:
-            return
+            return False
         self._emit(
             t,
             EventKind.DRIFT_DETECTED,
@@ -260,6 +261,7 @@ class AdaptiveRuntime:
             statistic=report.statistic,
         )
         self._reallocate(job, t, report.observed_mean, report.observed_variance)
+        return True
 
     # ------------------------------------------------------------------
     def _reallocate(self, job: Job, t: float, mean: float, variance: float) -> None:

@@ -23,6 +23,8 @@ termination time is reached, an exception is raised which aborts the job
 `-NA` baselines) suppress this, so stale jobs keep executing and accrue
 zero utility — the domino-effect regime of the evaluation.  Exception
 handlers are modelled as zero-cost (the paper does not charge them).
+These transitions live in one :class:`JobLifecycle`, which the live
+:class:`~repro.svc.ServiceCore` drives too.
 
 Cores
 -----
@@ -52,9 +54,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cpu import EnergyModel, FrequencyScale, Processor, ProcessorStats
+from ..cpu import Processor, ProcessorStats
 from ..obs import EventKind, Observer
-from .scheduler import ArrivalWindow, Scheduler, SchedulerView, SchedulingEvent
+from .scheduler import ArrivalWindow, Decision, Scheduler, SchedulerView, SchedulingEvent
 from .job import Job, JobStatus
 from .metrics import Metrics
 from .task import TaskSet
@@ -65,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports sim)
     from ..check import InvariantChecker
     from ..runtime import AdaptiveRuntime
 
-__all__ = ["Engine", "SimulationResult", "SimulationError", "build_view"]
+__all__ = ["Engine", "JobLifecycle", "SimulationResult", "SimulationError"]
 
 #: Cycle tolerance: a job with fewer remaining Mcycles is complete.
 EPS_CYCLES = 1e-9
@@ -80,13 +82,11 @@ class SimulationError(RuntimeError):
 class _ArrivalLog:
     """Append-only release log of one task with a trailing-window head.
 
-    The UAM window is trimmed by advancing ``head`` (:func:`build_view`)
-    — entries are never removed, so an
-    :class:`~repro.sim.scheduler.ArrivalWindow` snapshot handed to a
-    :class:`SchedulerView` stays valid after the engine moves on.
-    ``snap`` caches the current window's snapshot; it is invalidated on
-    append and on trim so unchanged windows are shared between
-    consecutive decision points instead of re-copied.
+    :meth:`JobLifecycle.view` trims the UAM window by advancing ``head``
+    and never removes entries, so an
+    :class:`~repro.sim.scheduler.ArrivalWindow` snapshot stays valid
+    after the run moves on.  ``snap`` caches the current window's
+    snapshot until the next append or trim.
     """
 
     __slots__ = ("data", "head", "snap")
@@ -101,61 +101,177 @@ class _ArrivalLog:
         self.snap = None
 
 
-#: Snapshot recipe of one task: (release log, task name, UAM window).
-WindowSpec = Tuple[_ArrivalLog, str, float]
+#: Event fields of a uniprocessor's per-core events (no ``core=k``).
+_UNTAGGED: Dict[str, int] = {}
 
 
-def build_view(
-    t: float,
-    ready: List[Job],
-    taskset: TaskSet,
-    window_specs: List[WindowSpec],
-    event: SchedulingEvent,
-    scale: FrequencyScale,
-    energy_model: EnergyModel,
-    energy_consumed: float = 0.0,
-    dvs: bool = True,
-) -> SchedulerView:
-    """Build the scheduler-visible snapshot for one decision point.
+class JobLifecycle:
+    """The per-job transitions of the paper's event model (§2.2).
 
-    ``window_specs`` is the hoisted per-task recipe, so each decision's
-    trim-and-window pass (inlined: it runs once per task per decision)
-    reads locals instead of chasing attribute chains.  ``ready`` is the
-    caller's *live* list — it is mutated in place by the post-decision
-    abort pass and the completion handler.
-    :class:`SchedulerView` copies it on construction, so a view
-    retained by an observer, checker, or scheduler stays
-    membership-stable after the caller moves on; the regression suite
-    pins this.  Per-task arrival windows are
-    :class:`~repro.sim.scheduler.ArrivalWindow` snapshots over the
-    append-only release logs — equally stable, without per-decision
-    list copies.
+    It owns a run's ``ready`` list, per-task release logs and deferred
+    releases, and is the only code that moves a job between states:
+    :meth:`admit`, :meth:`drop`, :meth:`defer`/:meth:`pop_due`,
+    :meth:`expire_overdue`, :meth:`apply` (scheduler aborts) and
+    :meth:`complete`.  It binds the scheduler to the run and reads the
+    energy of its ``cores`` into each :meth:`view`.  Two drivers call
+    it: :class:`Engine`'s loop and the live :class:`~repro.svc.ServiceCore`
+    (``source="svc"``).  Each observer, checker and runtime site is one
+    ``is None`` branch.
     """
-    counts: Dict[str, ArrivalWindow] = {}
-    for log, name, window in window_specs:
-        # Trim: advance the head past releases at or before the cutoff.
-        cutoff = t - window + EPS_TIME
-        data = log.data
-        head = log.head
-        n = len(data)
-        while head < n and data[head] <= cutoff:
-            head += 1
-        snap = log.snap
-        if head != log.head or snap is None:
-            log.head = head
-            snap = log.snap = ArrivalWindow(data, head, n)
-        counts[name] = snap
-    return SchedulerView(
-        time=t,
-        ready=ready,
-        taskset=taskset,
-        scale=scale,
-        energy_model=energy_model,
-        event=event,
-        arrivals_in_window=counts,
-        energy_consumed=energy_consumed,
-        dvs=dvs,
-    )
+
+    __slots__ = ("taskset", "scheduler", "cores", "obs", "checker", "runtime",
+                 "source", "ready", "deferred", "_seq", "_windows")
+
+    def __init__(self, taskset: TaskSet, scheduler: Scheduler, cores: List[Processor],
+                 observer: Optional[Observer] = None,
+                 checker: Optional["InvariantChecker"] = None,
+                 runtime: Optional["AdaptiveRuntime"] = None, source: str = "engine"):
+        self.taskset = taskset
+        self.scheduler = scheduler
+        self.cores = cores
+        self.obs = observer
+        self.checker = checker
+        self.runtime = runtime
+        self.source = source
+        self.ready: List[Job] = []
+        #: ``(release, seq, job)`` heap; seq breaks ties (jobs do not compare).
+        self.deferred: List[Tuple[float, int, Job]] = []
+        self._seq = 0
+        #: Task name -> (release log, UAM window).
+        self._windows = {task.name: (_ArrivalLog(), task.uam.window) for task in taskset}
+        if observer is not None:
+            scheduler.bind_observer(observer)
+        scheduler.setup(taskset, cores[0].scale, cores[0].model)
+
+    def admit(self, job: Job, t: float) -> None:
+        """Release ``job`` into ``ready`` and its task's arrival log."""
+        self.ready.append(job)
+        self._windows[job.task.name][0].append(job.release)
+        if self.checker is not None:
+            self.checker.on_release(job, t)
+        obs = self.obs
+        if obs is not None:
+            obs.emit(t, EventKind.RELEASE, job.key, self.source,
+                     release=job.release, termination=job.termination)
+            obs.inc("jobs_released", task=job.task.name)
+
+    def drop(self, job: Job, t: float, status: JobStatus = JobStatus.SHED) -> None:
+        """End ``job`` unfinished, leaving ``ready`` if it is there;
+        ``SHED`` (the default) is the admission gate's verdict."""
+        job.status = status
+        job.abort_time = t
+        if job in self.ready:
+            self.ready.remove(job)
+
+    def defer(self, job: Job) -> None:
+        """Hold ``job`` until its granted release instant."""
+        heapq.heappush(self.deferred, (job.release, self._seq, job))
+        self._seq += 1
+
+    def pop_due(self, t: float) -> Optional[Job]:
+        """The next deferred job whose release has come, if any."""
+        deferred = self.deferred
+        if deferred and deferred[0][0] <= t + EPS_TIME:
+            return heapq.heappop(deferred)[2]
+        return None
+
+    def expire_overdue(self, t: float) -> List[Job]:
+        """Raise the termination exception: abort (``EXPIRED``) each ready
+        job past its termination time, unless the policy keeps them."""
+        if not self.scheduler.abort_expired:
+            return []
+        t_eps = t + EPS_TIME
+        expired = [j for j in self.ready if j.termination <= t_eps and j.task.abortable]
+        obs = self.obs
+        for job in expired:
+            self.drop(job, t, JobStatus.EXPIRED)
+            if obs is not None:
+                obs.emit(t, EventKind.EXPIRE, job.key, self.source,
+                         executed=job.executed, demand=job.demand)
+                obs.inc("jobs_expired", task=job.task.name)
+        return expired
+
+    def apply(self, decision: Decision, t: float) -> None:
+        """Carry out ``decision``'s aborts; check that its pick is ready."""
+        obs = self.obs
+        for job in decision.aborts:
+            if job.is_finished:
+                raise SimulationError(f"scheduler aborted finished job {job.key}")
+            self.drop(job, t, JobStatus.ABORTED)
+            if obs is not None:
+                obs.emit(t, EventKind.ABORT, job.key, self.source,
+                         executed=job.executed, budget=job.allocated)
+                obs.inc("jobs_aborted", task=job.task.name)
+        picked = decision.job
+        if picked is not None and picked not in self.ready:
+            raise SimulationError(f"scheduler selected non-ready job {picked.key}")
+
+    def complete(self, job: Job, t: float, tags: Dict[str, int] = _UNTAGGED) -> bool:
+        """Complete ``job`` at ``t``; True when the runtime reallocated on
+        it (its drift/reallocation events precede COMPLETE)."""
+        job.status = JobStatus.COMPLETED
+        job.completion_time = t
+        job.accrued_utility = job.utility_at(t)
+        self.ready.remove(job)
+        self.scheduler.on_completion(job, t)
+        reallocated = self.runtime is not None and self.runtime.on_completion(job, t)
+        obs = self.obs
+        if obs is not None:
+            obs.emit(t, EventKind.COMPLETE, job.key, self.source,
+                     utility=job.accrued_utility, sojourn=t - job.release, **tags)
+            obs.inc("jobs_completed", task=job.task.name)
+            obs.observe("sojourn_seconds", t - job.release)
+        return reallocated
+
+    def next_timer(self, t: float) -> float:
+        """Earliest future deferred release or ready termination (or inf)."""
+        t_next = self.deferred[0][0] if self.deferred else math.inf
+        if self.scheduler.abort_expired:
+            t_eps = t + EPS_TIME
+            for j in self.ready:
+                j_term = j.termination
+                if j_term < t_next and j_term > t_eps and j.task.abortable:
+                    t_next = j_term
+        return t_next
+
+    def view(self, t: float, event: SchedulingEvent, dvs: bool = True) -> SchedulerView:
+        """The scheduler-visible snapshot for one decision point.
+
+        :class:`SchedulerView` copies the live ``ready`` list, so a
+        retained view stays membership-stable after later transitions
+        (the regression suite pins this); the per-task windows are
+        :class:`~repro.sim.scheduler.ArrivalWindow` snapshots over the
+        append-only release logs, equally stable without list copies.
+        """
+        counts: Dict[str, ArrivalWindow] = {}
+        for name, (log, window) in self._windows.items():
+            # Trim: advance the head past releases at or before the cutoff.
+            cutoff = t - window + EPS_TIME
+            data = log.data
+            head = log.head
+            n = len(data)
+            while head < n and data[head] <= cutoff:
+                head += 1
+            snap = log.snap
+            if head != log.head or snap is None:
+                log.head = head
+                snap = log.snap = ArrivalWindow(data, head, n)
+            counts[name] = snap
+        cores = self.cores
+        energy = 0.0
+        for cpu in cores:
+            energy += cpu.stats.total_energy
+        return SchedulerView(
+            time=t,
+            ready=self.ready,
+            taskset=self.taskset,
+            scale=cores[0].scale,
+            energy_model=cores[0].model,
+            event=event,
+            arrivals_in_window=counts,
+            energy_consumed=energy,
+            dvs=dvs,
+        )
 
 
 class _CoreObserver:
@@ -344,20 +460,14 @@ class Engine:
         core_ids = range(m)
         tags = self._tags
         traces = self.traces
-        cpu0 = cores[0]
-        scale, energy_model = cpu0.scale, cpu0.model
 
         # Observability: `obs is None` must stay the zero-cost default —
         # every instrumentation site below is guarded by one branch.
         obs = self.observer
-        if obs is not None:
-            scheduler.bind_observer(obs)
         # Span tracing: `tracing` is hoisted once, so a detached tracer
         # costs one predictable branch per phase.
         sp = obs.spans if obs is not None else None
         tracing = sp is not None
-
-        scheduler.setup(taskset, scale, energy_model)
 
         jobs: List[Job] = [
             Job(spec.task, spec.index, spec.release, spec.demand) for spec in self.workload
@@ -367,22 +477,15 @@ class Engine:
         #: Release instants in arrival order — jobs[k].release hoisted so
         #: the event-search loop reads a list slot, not a property.
         releases: List[float] = [job.release for job in jobs]
-        ready: List[Job] = []
-        recent_arrivals: Dict[str, _ArrivalLog] = {t.name: _ArrivalLog() for t in taskset}
-        window_specs: List[WindowSpec] = [
-            (recent_arrivals[task.name], task.name, task.uam.window) for task in taskset
-        ]
 
-        # Adaptive runtime (optional): deferred re-releases wait here,
-        # ordered by their granted release instant (seq breaks ties —
-        # jobs are not comparable).
+        # Adaptive runtime and invariant checker (optional): the same
+        # zero-cost-when-detached contract as `obs`.  The checker only
+        # observes releases and decisions; the rest is audited after.
         rt = self.runtime
-        # Invariant checker (optional): observe-only release and decision
-        # hooks, same zero-cost-when-detached contract as `obs` and `rt`;
-        # everything else it checks is audited after the run.
         ck = self.checker
-        deferred_heap: List[Tuple[float, int, Job]] = []
-        deferred_seq = 0
+        lc = JobLifecycle(taskset, scheduler, cores, obs, ck, rt)
+        ready = lc.ready
+        deferred = lc.deferred
 
         t = 0.0
         event = SchedulingEvent.START
@@ -415,8 +518,8 @@ class Engine:
             if tracing:
                 sp.enter("engine.release")
             while True:
-                if deferred_heap and deferred_heap[0][0] <= t + EPS_TIME:
-                    job = heapq.heappop(deferred_heap)[2]
+                job = lc.pop_due(t) if deferred else None
+                if job is not None:
                     from_deferred = True
                 elif arrival_idx < n_jobs and releases[arrival_idx] <= t + EPS_TIME:
                     job = jobs[arrival_idx]
@@ -429,48 +532,24 @@ class Engine:
                 if rt is not None:
                     verdict = rt.on_arrival(job, t, ready, deferred=from_deferred)
                     if verdict.action == "shed":
-                        job.status = JobStatus.SHED
-                        job.abort_time = t
+                        lc.drop(job, t)
                         continue
                     if verdict.action == "defer":
                         job.release = verdict.release
-                        heapq.heappush(deferred_heap, (job.release, deferred_seq, job))
-                        deferred_seq += 1
+                        lc.defer(job)
                         continue
                     for victim in verdict.evictions:
-                        victim.status = JobStatus.SHED
-                        victim.abort_time = t
-                        ready.remove(victim)
-                ready.append(job)
-                recent_arrivals[job.task.name].append(job.release)
-                if ck is not None:
-                    ck.on_release(job, t)
-                if obs is not None:
-                    obs.emit(t, EventKind.RELEASE, job.key,
-                             release=job.release, termination=job.termination)
-                    obs.inc("jobs_released", task=job.task.name)
+                        lc.drop(victim, t)
+                lc.admit(job, t)
 
             if tracing:
                 sp.exit()  # engine.release
                 sp.enter("engine.expiry")
 
             # --- raise termination exceptions -------------------------
-            if scheduler.abort_expired:
-                t_eps = t + EPS_TIME
-                expired: List[Job] = []
-                for j in ready:
-                    if j.termination <= t_eps and j.task.abortable:
-                        expired.append(j)
-                for job in expired:
-                    job.status = JobStatus.EXPIRED
-                    job.abort_time = t
-                    ready.remove(job)
-                    if obs is not None:
-                        obs.emit(t, EventKind.EXPIRE, job.key,
-                                 executed=job.executed, demand=job.demand)
-                        obs.inc("jobs_expired", task=job.task.name)
-                    event = SchedulingEvent.EXPIRY
-                    advanced = True
+            if lc.expire_overdue(t):
+                event = SchedulingEvent.EXPIRY
+                advanced = True
 
             if tracing:
                 sp.exit()  # engine.expiry
@@ -481,20 +560,13 @@ class Engine:
             # --- consult the scheduler ---------------------------------
             if tracing:
                 sp.enter("engine.snapshot")
-            if multi:
-                energy = 0.0
-                for cpu in cores:
-                    energy += cpu.stats.total_energy
-            else:
-                energy = cpu0.stats.total_energy
             # At m > 1 the shared view carries all m cores' worth of
             # demand, so any frequency computed over it is meaningless
             # for a single core (decideFreq pins to f_max).  The
             # selection round therefore runs with dvs=False — picks and
             # aborts are unaffected — and per-core frequencies are
             # decided afterwards over per-core residual views.
-            view = build_view(t, ready, taskset, window_specs, event,
-                              scale, energy_model, energy, not multi)
+            view = lc.view(t, event, not multi)
             if obs is not None:
                 obs.set_gauge("queue_depth", len(ready))
                 obs.observe("queue_depth_samples", len(ready))
@@ -513,25 +585,12 @@ class Engine:
                     sp.exit()  # engine.decide
                 if ck is not None:
                     ck.on_decision(working, decision, scheduler)
-                for job in decision.aborts:
-                    if job.is_finished:
-                        raise SimulationError(f"scheduler aborted finished job {job.key}")
-                    job.status = JobStatus.ABORTED
-                    job.abort_time = t
-                    if job in ready:
-                        ready.remove(job)
-                    if obs is not None:
-                        obs.emit(t, EventKind.ABORT, job.key,
-                                 executed=job.executed, budget=job.allocated)
-                        obs.inc("jobs_aborted", task=job.task.name)
+                lc.apply(decision, t)
+                if decision.aborts:
                     advanced = True
                 picked = decision.job
                 if picked is None:
                     break
-                if picked not in ready:
-                    raise SimulationError(
-                        f"scheduler selected non-ready job {picked.key}"
-                    )
                 picks.append((picked, decision.frequency))
                 if slot + 1 < m:
                     working = working.without([picked, *decision.aborts])
@@ -615,16 +674,8 @@ class Engine:
             if tracing:
                 sp.enter("engine.advance")
             t_arrival = releases[arrival_idx] if arrival_idx < n_jobs else math.inf
-            if deferred_heap:
-                t_arrival = min(t_arrival, deferred_heap[0][0])
-            t_term = math.inf
-            if scheduler.abort_expired:
-                t_eps = t + EPS_TIME
-                for j in ready:
-                    j_term = j.termination
-                    if j_term < t_term and j_term > t_eps and j.task.abortable:
-                        t_term = j_term
-            t_next = min(horizon, t_arrival, t_term, t_complete)
+            t_timer = lc.next_timer(t)
+            t_next = min(horizon, t_arrival, t_timer, t_complete)
             if t_next < t:
                 t_next = t  # coincident events; process without moving
 
@@ -668,22 +719,9 @@ class Engine:
                 job = running[k]
                 if job is None or job.remaining_demand > EPS_CYCLES:
                     continue
-                job.status = JobStatus.COMPLETED
-                job.completion_time = t
-                job.accrued_utility = job.utility_at(t)
-                ready.remove(job)
-                scheduler.on_completion(job, t)
-                if rt is not None:
-                    reallocations = rt.reallocations
-                    rt.on_completion(job, t)
-                    if rt.reallocations != reallocations:
-                        plan = None  # c_i moved: the worst-fit order is stale
+                if lc.complete(job, t, tags[k]):
+                    plan = None  # c_i moved: the worst-fit order is stale
                 if obs is not None:
-                    obs.emit(t, EventKind.COMPLETE, job.key,
-                             utility=job.accrued_utility,
-                             sojourn=t - job.release, **tags[k])
-                    obs.inc("jobs_completed", task=job.task.name)
-                    obs.observe("sojourn_seconds", t - job.release)
                     last_running[k] = None
                 event = SchedulingEvent.COMPLETION
                 advanced = True
@@ -700,12 +738,7 @@ class Engine:
                     )
                 # Nothing happened and nothing will: if no future events
                 # exist and the scheduler idles, we are done early.
-                if (
-                    not picks
-                    and arrival_idx >= n_jobs
-                    and not deferred_heap
-                    and (t_term is math.inf)
-                ):
+                if not picks and arrival_idx >= n_jobs and t_timer == math.inf:
                     break
             else:
                 stall_guard = 0

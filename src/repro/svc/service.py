@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -344,8 +345,9 @@ def _response(status: str, payload: bytes, ndjson: bool = False, close: bool = F
 def _submission(spec: object) -> Tuple[str, Optional[float]]:
     """Validate one submission ``{"task": name, "demand": Mcycles?}``.
 
-    Raises ``TypeError``/``ValueError`` on a malformed shape; whether
-    the task exists is the core's call (:class:`UnknownTaskError`).
+    Raises ``TypeError``/``ValueError`` on a malformed shape, including
+    a boolean, non-finite or non-positive ``demand``; whether the task
+    exists is the core's call (:class:`UnknownTaskError`).
     """
     if not isinstance(spec, dict):
         raise TypeError(f"submission must be a JSON object, got {type(spec).__name__}")
@@ -353,6 +355,8 @@ def _submission(spec: object) -> Tuple[str, Optional[float]]:
     if not isinstance(task, str):
         raise ValueError('submission needs a "task" name')
     demand = spec.get("demand")
+    if demand is not None and (isinstance(demand, bool) or not 0.0 < float(demand) < math.inf):
+        raise ValueError(f"demand must be a finite number > 0, got {demand!r}")
     return task, float(demand) if demand is not None else None
 
 

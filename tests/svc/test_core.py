@@ -45,6 +45,21 @@ class TestSubmit:
         core.submit(task.name, 0.0, demand=task.allocation / 2)
         assert core.ready[0].demand == pytest.approx(task.allocation / 2)
 
+    def test_rejected_submission_leaves_no_trace(self, core, taskset):
+        # With a = 1, a rejected submission that still took the task's
+        # UAM slot would shed the next valid one as a violation.
+        task = taskset[0]
+        assert task.uam.max_arrivals == 1
+        before = dict(core.counters)
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                core.submit(task.name, 0.0, demand=bad)
+        assert core.monitor.effective_times(task.name) == []
+        assert core.counters == before
+        outcome = core.submit(task.name, 0.0)
+        assert outcome.status == "admitted"
+        assert outcome.job == f"{task.name}:0"
+
     def test_outcome_to_dict_round_trips(self):
         out = SubmitOutcome("deferred", job="T0#1", reason="uam-deferral",
                             release=1.25)
@@ -189,8 +204,22 @@ class TestObservability:
         core.submit(taskset[0].name, 0.0)
         stats = core.stats()
         for key in ("submitted", "admitted", "ready_depth", "deferred_pending",
-                    "utility_accrued", "uam_violations", "tasks", "events"):
+                    "utility_accrued", "uam_violations", "tasks", "events",
+                    "energy", "switch_count", "busy_time"):
             assert key in stats
         assert stats["ready_depth"] == 1
         assert stats["tasks"] == len(taskset)
         assert stats["events"] > 0
+        assert stats["energy"] == 0.0
+
+    def test_stats_report_processor_energy(self, core, taskset):
+        core.submit(taskset[0].name, 0.0)
+        decision = core.decide(0.0)
+        job = decision.job
+        dt = job.remaining_demand / decision.frequency
+        core.advance(job, dt, decision.frequency)
+        assert core.complete_if_done(job, dt)
+        stats = core.stats()
+        assert stats["energy"] > 0.0
+        assert stats["energy"] == core.processor.stats.total_energy
+        assert stats["busy_time"] == pytest.approx(dt)

@@ -266,7 +266,10 @@ def test_malformed_requests_are_answered_and_closed(raw, status):
 def test_batch_with_malformed_element_admits_nothing():
     async def scenario(service, conn):
         name = service.core.taskset[0].name
-        for bad in ({}, 7, {"task": name, "demand": "lots"}):
+        other = service.core.taskset[1].name
+        for bad in ({}, 7, {"task": name, "demand": "lots"},
+                    {"task": other, "demand": 0}, {"task": other, "demand": -1.5},
+                    {"task": other, "demand": True}, {"task": other, "demand": 1e400}):
             status, body = await conn.request("POST", "/jobs/batch", [{"task": name}, bad])
             assert status == 400
             assert "error" in json.loads(body)
