@@ -4,9 +4,8 @@ The :class:`~repro.sim.engine.Engine` is purely discrete-event: between
 scheduling events nothing observable happens, so it jumps straight to
 the next event instant and never consults a clock.  Real time enters
 only through the live service (:mod:`repro.svc`): its asyncio executor
-drives ``ServiceCore`` — the engine's
-:class:`~repro.sim.engine.JobLifecycle` behind a UAM + admission gate —
-with a :class:`WallClock`: it reads ``now``, sleeps
+paces ``ServiceCore`` (the engine's job lifecycle behind a UAM +
+admission gate) with a :class:`WallClock` — it reads ``now``, sleeps
 ``wall_remaining`` on the event loop, and records how late each wake-up
 was with ``note_lag`` into :class:`ClockDrift`, which ``/stats``
 reports.

@@ -120,7 +120,7 @@ class JobLifecycle:
     """
 
     __slots__ = ("taskset", "scheduler", "cores", "obs", "checker", "runtime",
-                 "source", "ready", "deferred", "_seq", "_windows")
+                 "source", "ready", "deferred", "_seq", "_logs", "_windows")
 
     def __init__(self, taskset: TaskSet, scheduler: Scheduler, cores: List[Processor],
                  observer: Optional[Observer] = None,
@@ -137,8 +137,9 @@ class JobLifecycle:
         #: ``(release, seq, job)`` heap; seq breaks ties (jobs do not compare).
         self.deferred: List[Tuple[float, int, Job]] = []
         self._seq = 0
-        #: Task name -> (release log, UAM window).
-        self._windows = {task.name: (_ArrivalLog(), task.uam.window) for task in taskset}
+        self._logs = {task.name: _ArrivalLog() for task in taskset}
+        self._windows = [(self._logs[task.name], task.name, task.uam.window)
+                         for task in taskset]
         if observer is not None:
             scheduler.bind_observer(observer)
         scheduler.setup(taskset, cores[0].scale, cores[0].model)
@@ -146,18 +147,15 @@ class JobLifecycle:
     def admit(self, job: Job, t: float) -> None:
         """Release ``job`` into ``ready`` and its task's arrival log."""
         self.ready.append(job)
-        self._windows[job.task.name][0].append(job.release)
+        self._logs[job.task.name].append(job.release)
         if self.checker is not None:
             self.checker.on_release(job, t)
-        obs = self.obs
-        if obs is not None:
-            obs.emit(t, EventKind.RELEASE, job.key, self.source,
-                     release=job.release, termination=job.termination)
-            obs.inc("jobs_released", task=job.task.name)
+        if self.obs is not None:
+            self.obs.emit(t, EventKind.RELEASE, job.key, self.source,
+                          release=job.release, termination=job.termination)
 
     def drop(self, job: Job, t: float, status: JobStatus = JobStatus.SHED) -> None:
-        """End ``job`` unfinished, leaving ``ready`` if it is there;
-        ``SHED`` (the default) is the admission gate's verdict."""
+        """End ``job`` unfinished (by default ``SHED`` at the admission gate)."""
         job.status = status
         job.abort_time = t
         if job in self.ready:
@@ -188,7 +186,6 @@ class JobLifecycle:
             if obs is not None:
                 obs.emit(t, EventKind.EXPIRE, job.key, self.source,
                          executed=job.executed, demand=job.demand)
-                obs.inc("jobs_expired", task=job.task.name)
         return expired
 
     def apply(self, decision: Decision, t: float) -> None:
@@ -201,7 +198,6 @@ class JobLifecycle:
             if obs is not None:
                 obs.emit(t, EventKind.ABORT, job.key, self.source,
                          executed=job.executed, budget=job.allocated)
-                obs.inc("jobs_aborted", task=job.task.name)
         picked = decision.job
         if picked is not None and picked not in self.ready:
             raise SimulationError(f"scheduler selected non-ready job {picked.key}")
@@ -215,12 +211,9 @@ class JobLifecycle:
         self.ready.remove(job)
         self.scheduler.on_completion(job, t)
         reallocated = self.runtime is not None and self.runtime.on_completion(job, t)
-        obs = self.obs
-        if obs is not None:
-            obs.emit(t, EventKind.COMPLETE, job.key, self.source,
-                     utility=job.accrued_utility, sojourn=t - job.release, **tags)
-            obs.inc("jobs_completed", task=job.task.name)
-            obs.observe("sojourn_seconds", t - job.release)
+        if self.obs is not None:
+            self.obs.emit(t, EventKind.COMPLETE, job.key, self.source,
+                          utility=job.accrued_utility, sojourn=t - job.release, **tags)
         return reallocated
 
     def next_timer(self, t: float) -> float:
@@ -244,7 +237,7 @@ class JobLifecycle:
         append-only release logs, equally stable without list copies.
         """
         counts: Dict[str, ArrivalWindow] = {}
-        for name, (log, window) in self._windows.items():
+        for log, name, window in self._windows:
             # Trim: advance the head past releases at or before the cutoff.
             cutoff = t - window + EPS_TIME
             data = log.data
@@ -541,15 +534,21 @@ class Engine:
                     for victim in verdict.evictions:
                         lc.drop(victim, t)
                 lc.admit(job, t)
+                if obs is not None:
+                    obs.inc("jobs_released", task=job.task.name)
 
             if tracing:
                 sp.exit()  # engine.release
                 sp.enter("engine.expiry")
 
             # --- raise termination exceptions -------------------------
-            if lc.expire_overdue(t):
+            expired = lc.expire_overdue(t)
+            if expired:
                 event = SchedulingEvent.EXPIRY
                 advanced = True
+                if obs is not None:
+                    for job in expired:
+                        obs.inc("jobs_expired", task=job.task.name)
 
             if tracing:
                 sp.exit()  # engine.expiry
@@ -588,6 +587,9 @@ class Engine:
                 lc.apply(decision, t)
                 if decision.aborts:
                     advanced = True
+                    if obs is not None:
+                        for job in decision.aborts:
+                            obs.inc("jobs_aborted", task=job.task.name)
                 picked = decision.job
                 if picked is None:
                     break
@@ -722,6 +724,8 @@ class Engine:
                 if lc.complete(job, t, tags[k]):
                     plan = None  # c_i moved: the worst-fit order is stale
                 if obs is not None:
+                    obs.inc("jobs_completed", task=job.task.name)
+                    obs.observe("sojourn_seconds", t - job.release)
                     last_running[k] = None
                 event = SchedulingEvent.COMPLETION
                 advanced = True
