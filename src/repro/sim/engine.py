@@ -96,14 +96,6 @@ class _ArrivalLog:
         self.head = 0
         self.snap: Optional[ArrivalWindow] = None
 
-    def append(self, release: float) -> None:
-        self.data.append(release)
-        self.snap = None
-
-
-#: Event fields of a uniprocessor's per-core events (no ``core=k``).
-_UNTAGGED: Dict[str, int] = {}
-
 
 class JobLifecycle:
     """The per-job transitions of the paper's event model (§2.2).
@@ -147,7 +139,9 @@ class JobLifecycle:
     def admit(self, job: Job, t: float) -> None:
         """Release ``job`` into ``ready`` and its task's arrival log."""
         self.ready.append(job)
-        self._logs[job.task.name].append(job.release)
+        log = self._logs[job.task.name]
+        log.data.append(job.release)
+        log.snap = None
         if self.checker is not None:
             self.checker.on_release(job, t)
         if self.obs is not None:
@@ -202,9 +196,9 @@ class JobLifecycle:
         if picked is not None and picked not in self.ready:
             raise SimulationError(f"scheduler selected non-ready job {picked.key}")
 
-    def complete(self, job: Job, t: float, tags: Dict[str, int] = _UNTAGGED) -> bool:
-        """Complete ``job`` at ``t``; True when the runtime reallocated on
-        it (its drift/reallocation events precede COMPLETE)."""
+    def complete(self, job: Job, t: float, **tags: int) -> bool:
+        """Complete ``job`` at ``t`` (``tags``: extra COMPLETE fields); True
+        when the runtime reallocated on it (its events precede COMPLETE)."""
         job.status = JobStatus.COMPLETED
         job.completion_time = t
         job.accrued_utility = job.utility_at(t)
@@ -721,7 +715,7 @@ class Engine:
                 job = running[k]
                 if job is None or job.remaining_demand > EPS_CYCLES:
                     continue
-                if lc.complete(job, t, tags[k]):
+                if lc.complete(job, t, **tags[k]):
                     plan = None  # c_i moved: the worst-fit order is stale
                 if obs is not None:
                     obs.inc("jobs_completed", task=job.task.name)

@@ -100,10 +100,14 @@ class ServiceCore:
         self._tasks = {task.name: task for task in taskset}
         self._indices: Dict[str, int] = {task.name: 0 for task in taskset}
         #: Lifecycle counters (service ``/stats``, load reports).
-        self.counters: Dict[str, int] = dict.fromkeys((
-            "submitted", "admitted", "deferred", "shed_uam", "rejected",
-            "evicted", "completed", "expired", "aborted", "deadline_hits",
-        ), 0)
+        self.counters: Dict[str, int] = {
+            key: 0
+            for key in (
+                "submitted", "admitted", "deferred", "shed_uam",
+                "rejected", "evicted", "completed", "expired",
+                "aborted", "deadline_hits",
+            )
+        }
         self.utility_accrued = 0.0
 
     # ------------------------------------------------------------------
