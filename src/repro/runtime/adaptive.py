@@ -94,7 +94,7 @@ class RuntimeConfig:
 
 @dataclass(frozen=True)
 class ArrivalVerdict:
-    """What the engine must do with one released job."""
+    """What :meth:`~repro.sim.engine.JobLifecycle.release` does with one job."""
 
     #: ``"admit"`` | ``"shed"`` | ``"defer"``.
     action: str
@@ -102,6 +102,9 @@ class ArrivalVerdict:
     release: Optional[float] = None
     #: Ready jobs the admission layer evicted (engine sheds them).
     evictions: Tuple[Job, ...] = ()
+    #: Why: ``"uam-violation"``, ``"uam-deferral"`` or the admission
+    #: verdict's reason (``"feasible"``, ``"evicted-lower-uer"``, ...).
+    reason: str = "feasible"
 
 
 _ADMIT = ArrivalVerdict("admit")
@@ -205,10 +208,11 @@ class AdaptiveRuntime:
                 )
                 if self.policy is ViolationPolicy.SHED:
                     self.shed_jobs += 1
-                    return ArrivalVerdict("shed")
+                    return ArrivalVerdict("shed", reason="uam-violation")
                 if self.policy is ViolationPolicy.DEFER:
                     self.deferred_jobs += 1
-                    return ArrivalVerdict("defer", release=violation.deferred_to)
+                    return ArrivalVerdict("defer", release=violation.deferred_to,
+                                          reason="uam-deferral")
                 self.flagged_jobs += 1  # ADMIT_AND_FLAG falls through
 
         if self.admission is not None:
@@ -225,7 +229,7 @@ class AdaptiveRuntime:
                     action="reject",
                     reason=verdict.reason,
                 )
-                return ArrivalVerdict("shed")
+                return ArrivalVerdict("shed", reason=verdict.reason)
             if verdict.evictions:
                 self.shed_jobs += len(verdict.evictions)
                 self._emit(
@@ -236,7 +240,8 @@ class AdaptiveRuntime:
                     reason=verdict.reason,
                     evicted=",".join(j.key for j in verdict.evictions),
                 )
-                return ArrivalVerdict("admit", evictions=verdict.evictions)
+                return ArrivalVerdict("admit", evictions=verdict.evictions,
+                                      reason=verdict.reason)
         return _ADMIT
 
     def on_completion(self, job: Job, t: float) -> bool:

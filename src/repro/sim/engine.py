@@ -65,7 +65,7 @@ from .workload import WorkloadTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports sim)
     from ..check import InvariantChecker
-    from ..runtime import AdaptiveRuntime
+    from ..runtime import AdaptiveRuntime, ArrivalVerdict
 
 __all__ = ["Engine", "JobLifecycle", "SimulationResult", "SimulationError"]
 
@@ -102,13 +102,13 @@ class JobLifecycle:
 
     It owns a run's ``ready`` list, per-task release logs and deferred
     releases, and is the only code that moves a job between states:
-    :meth:`admit`, :meth:`drop`, :meth:`defer`/:meth:`pop_due`,
-    :meth:`expire_overdue`, :meth:`apply` (scheduler aborts) and
-    :meth:`complete`.  It binds the scheduler to the run and reads the
-    energy of its ``cores`` into each :meth:`view`.  Two drivers call
-    it: :class:`Engine`'s loop and the live :class:`~repro.svc.ServiceCore`
-    (``source="svc"``).  Each observer, checker and runtime site is one
-    ``is None`` branch.
+    :meth:`release` (the runtime's UAM + admission gate, then :meth:`admit`,
+    :meth:`drop` or :meth:`defer`), :meth:`pop_due`, :meth:`expire_overdue`,
+    :meth:`apply` (scheduler aborts) and :meth:`complete`.  It binds the
+    scheduler to the run and reads the energy of its ``cores`` into each
+    :meth:`view`.  Two drivers call it: :class:`Engine`'s loop and the live
+    :class:`~repro.svc.ServiceCore` (``source="svc"``, with a gate-only
+    runtime).  Each observer, checker and runtime site is one ``is None`` branch.
     """
 
     __slots__ = ("taskset", "scheduler", "cores", "obs", "checker", "runtime",
@@ -135,6 +135,27 @@ class JobLifecycle:
         if observer is not None:
             scheduler.bind_observer(observer)
         scheduler.setup(taskset, cores[0].scale, cores[0].model)
+
+    def release(self, job: Job, t: float,
+                deferred: bool = False) -> Optional["ArrivalVerdict"]:
+        """The arrival gate: carry out and return the runtime's verdict on
+        ``job`` (``deferred``: a re-release it granted), or just admit it
+        and return ``None`` when no runtime is attached."""
+        rt = self.runtime
+        if rt is None:
+            self.admit(job, t)
+            return None
+        verdict = rt.on_arrival(job, t, self.ready, deferred)
+        if verdict.action == "shed":
+            self.drop(job, t)
+        elif verdict.action == "defer":
+            job.release = verdict.release
+            self.defer(job)
+        else:
+            for victim in verdict.evictions:
+                self.drop(victim, t)
+            self.admit(job, t)
+        return verdict
 
     def admit(self, job: Job, t: float) -> None:
         """Release ``job`` into ``ready`` and its task's arrival log."""
@@ -468,9 +489,8 @@ class Engine:
         # Adaptive runtime and invariant checker (optional): the same
         # zero-cost-when-detached contract as `obs`.  The checker only
         # observes releases and decisions; the rest is audited after.
-        rt = self.runtime
         ck = self.checker
-        lc = JobLifecycle(taskset, scheduler, cores, obs, ck, rt)
+        lc = JobLifecycle(taskset, scheduler, cores, obs, ck, self.runtime)
         ready = lc.ready
         deferred = lc.deferred
 
@@ -500,8 +520,8 @@ class Engine:
 
             # --- release arrivals due now -----------------------------
             # Deferred re-releases (runtime `defer` policy) and fresh
-            # arrivals drain through the same gate; with no runtime the
-            # heap stays empty and the gate is a straight admit.
+            # arrivals drain through the same gate, `lc.release`; with no
+            # runtime the heap stays empty and the gate is a straight admit.
             if tracing:
                 sp.enter("engine.release")
             while True:
@@ -516,19 +536,8 @@ class Engine:
                     break
                 event = SchedulingEvent.ARRIVAL
                 advanced = True
-                if rt is not None:
-                    verdict = rt.on_arrival(job, t, ready, deferred=from_deferred)
-                    if verdict.action == "shed":
-                        lc.drop(job, t)
-                        continue
-                    if verdict.action == "defer":
-                        job.release = verdict.release
-                        lc.defer(job)
-                        continue
-                    for victim in verdict.evictions:
-                        lc.drop(victim, t)
-                lc.admit(job, t)
-                if obs is not None:
+                verdict = lc.release(job, t, from_deferred)
+                if obs is not None and (verdict is None or verdict.action == "admit"):
                     obs.inc("jobs_released", task=job.task.name)
 
             if tracing:

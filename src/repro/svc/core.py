@@ -5,14 +5,15 @@ away — the asyncio front-end (:mod:`repro.svc.service`) calls into it
 from one task, and the test suite drives it directly with fake time.
 It binds the paper's online machinery to an *open* arrival stream:
 
-* every submission passes the :class:`~repro.runtime.UAMComplianceMonitor`
-  (shed / defer / admit-and-flag on envelope violations) and then the
-  :class:`~repro.runtime.AdmissionController` (feasibility projection at
-  ``f_max``, lowest-UER eviction on overload);
-* admitted jobs then move through the engine's own
-  :class:`~repro.sim.engine.JobLifecycle` (release, expiry, aborts,
+* every submission is released through the engine's own
+  :class:`~repro.sim.engine.JobLifecycle`, gated by the engine's
+  :class:`~repro.runtime.AdaptiveRuntime` with re-allocation off: UAM
+  compliance (shed / defer / admit-and-flag on envelope violations),
+  then admission (feasibility projection at ``f_max``, lowest-UER
+  eviction on overload) — one gate, one event vocabulary;
+* admitted jobs then move through the same lifecycle (expiry, aborts,
   completion, timers, views), so the registry schedulers run verbatim
-  against live traffic, and execution is charged to a
+  against live traffic, and execution and idle time are charged to a
   :class:`~repro.cpu.Processor` whose energy ``/stats`` reports;
 * every decision lands in a :class:`~repro.obs.Observer` event log in
   the standard ``repro.obs`` wire format, which the HTTP front-end
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..obs import EventKind, Observer
-from ..runtime import AdmissionController, UAMComplianceMonitor, ViolationPolicy
+from ..runtime import AdaptiveRuntime, ArrivalVerdict, RuntimeConfig, ViolationPolicy
 from ..sched import make_scheduler
 from ..sim import Platform
 from ..sim.engine import EPS_CYCLES, EPS_TIME, JobLifecycle
@@ -70,8 +71,8 @@ class SubmitOutcome:
 
 
 class ServiceCore:
-    """Open-stream scheduler state: UAM + admission gates in front of a
-    job lifecycle, an emulated processor, and the decision event log."""
+    """Open-stream scheduler state: a job lifecycle gated by a UAM +
+    admission runtime, an emulated processor, and the decision event log."""
 
     def __init__(
         self,
@@ -88,12 +89,15 @@ class ServiceCore:
         self.observer = observer if observer is not None else Observer(
             events=True, metrics=True
         )
-        self.monitor = UAMComplianceMonitor(taskset, policy)
-        self.admission = AdmissionController(headroom)
+        #: The arrival gate (UAM policing + admission, no re-allocation).
+        self.runtime = AdaptiveRuntime(RuntimeConfig(policy=policy.value, adapt=False,
+                                                     headroom=headroom))
+        self.runtime.bind(taskset, self.platform.scale, self.platform.energy_model,
+                          self.scheduler, self.observer)
         #: The emulated CPU every dispatched job runs on.
         self.processor = self.platform.processor()
         self._lifecycle = JobLifecycle(taskset, self.scheduler, [self.processor],
-                                       self.observer, source="svc")
+                                       self.observer, runtime=self.runtime, source="svc")
         #: The live ready set (the lifecycle's own list).
         self.ready: List[Job] = self._lifecycle.ready
 
@@ -119,74 +123,37 @@ class ServiceCore:
         ``demand`` is the emulated true cycle demand (Mcycles); the
         default is the task's Chebyshev allocation ``c_i`` — a
         budget-conforming job.  The job is validated first (a bad
-        ``demand`` raises ``ValueError`` and leaves no trace), then UAM
-        compliance is checked (the envelope gates what *counts* as an
-        arrival), then admission.
+        ``demand`` raises ``ValueError`` and leaves no trace), takes its
+        task's next job index, and is released through the lifecycle's
+        arrival gate (UAM compliance, then admission).
         """
         task = self._tasks.get(task_name)
         if task is None:
             raise UnknownTaskError(task_name)
         job = Job(task, self._indices[task_name], t,
                   float(demand) if demand is not None else task.allocation)
-        self.counters["submitted"] += 1
-        obs = self.observer
-
-        violation = self.monitor.check(task, t)
-        if violation is not None:
-            obs.emit(t, EventKind.UAM_VIOLATION, source="svc",
-                     task=task.name, policy=violation.policy.value,
-                     window_anchor=violation.window_anchor,
-                     window_count=violation.window_count,
-                     deferred_to=violation.deferred_to)
-            obs.inc("svc_uam_violations", task=task.name)
-            if violation.policy is ViolationPolicy.SHED:
-                self.counters["shed_uam"] += 1
-                obs.emit(t, EventKind.ADMISSION_DECISION, source="svc",
-                         task=task.name, action="shed", reason="uam-violation")
-                return SubmitOutcome("shed", reason="uam-violation")
-            if violation.policy is ViolationPolicy.DEFER:
-                job.release = violation.deferred_to
         self._indices[task_name] += 1
+        self.counters["submitted"] += 1
+        return self._outcome(job, self._lifecycle.release(job, t))
 
-        if job.release > t + EPS_TIME:
-            # Deferred: admission runs when the grant comes due.
-            self.counters["deferred"] += 1
-            self._lifecycle.defer(job)
-            obs.emit(t, EventKind.ADMISSION_DECISION, job.key, source="svc",
-                     action="defer", reason="uam-deferral", release=job.release)
-            return SubmitOutcome("deferred", job=job.key,
-                                 reason="uam-deferral", release=job.release)
-        return self._admit(job, t)
-
-    def _admit(self, job: Job, t: float) -> SubmitOutcome:
-        obs = self.observer
-        lc = self._lifecycle
-        verdict = self.admission.evaluate(
-            job, t, self.ready, self.platform.scale.f_max,
-            self.platform.energy_model,
-        )
-        if not verdict.admit:
-            self.counters["rejected"] += 1
-            lc.drop(job, t)
-            obs.emit(t, EventKind.ADMISSION_DECISION, job.key, source="svc",
-                     action="reject", reason=verdict.reason)
-            return SubmitOutcome("rejected", job=job.key, reason=verdict.reason)
-        for victim in verdict.evictions:
-            lc.drop(victim, t)
-            self.counters["evicted"] += 1
-            obs.emit(t, EventKind.ADMISSION_DECISION, victim.key, source="svc",
-                     action="evict", reason="lower-uer", evicted_for=job.key)
-        lc.admit(job, t)
-        self.counters["admitted"] += 1
-        obs.emit(t, EventKind.ADMISSION_DECISION, job.key, source="svc",
-                 action="admit", reason=verdict.reason)
-        return SubmitOutcome("admitted", job=job.key, reason=verdict.reason)
+    def _outcome(self, job: Job, verdict: ArrivalVerdict) -> SubmitOutcome:
+        """Count one gate verdict and turn it into the client's."""
+        action, reason = verdict.action, verdict.reason
+        if action == "shed":
+            status = "shed" if reason == "uam-violation" else "rejected"
+        else:
+            status = "admitted" if action == "admit" else "deferred"
+        self.counters["shed_uam" if status == "shed" else status] += 1
+        self.counters["evicted"] += len(verdict.evictions)
+        return SubmitOutcome(status, job.key if status != "shed" else None, reason,
+                             job.release if status == "deferred" else None)
 
     def activate_due(self, t: float) -> int:
         """Admit deferred submissions whose granted release has come."""
+        lc = self._lifecycle
         n = 0
-        while (job := self._lifecycle.pop_due(t)) is not None:
-            self._admit(job, t)
+        while (job := lc.pop_due(t)) is not None:
+            self._outcome(job, lc.release(job, t, deferred=True))
             n += 1
         return n
 
@@ -220,10 +187,15 @@ class ServiceCore:
                                remaining_budget=decision.job.remaining_budget)
         return decision
 
-    def advance(self, job: Job, dt: float, frequency: float) -> None:
+    def advance(self, job: Optional[Job], dt: float, frequency: float) -> None:
         """Run ``job`` for ``dt`` clock-seconds at ``frequency`` on the
-        service's processor (cycles, energy, switches, residency)."""
+        service's processor (cycles, energy, switches, residency); with
+        ``job=None`` the processor idles for ``dt`` at its current
+        frequency, as the engine's idle core does."""
         cpu = self.processor
+        if job is None:
+            cpu.idle(dt)
+            return
         cpu.set_frequency(frequency)
         if dt > 0.0:
             job.executed += cpu.run(dt)
@@ -256,6 +228,6 @@ class ServiceCore:
             deferred_pending=len(self._lifecycle.deferred),
             utility_accrued=self.utility_accrued, energy=cpu.total_energy,
             switch_count=cpu.switch_count, busy_time=cpu.busy_time,
-            uam_violations=self.monitor.total_violations, tasks=len(self._tasks),
+            uam_violations=self.runtime.monitor.total_violations, tasks=len(self._tasks),
             events=len(events) if events is not None else 0,
         )

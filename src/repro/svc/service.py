@@ -117,12 +117,14 @@ class SchedulerService:
             job = decision.job
             if job is None:
                 # Idle until a submission or the next timer (deferral
-                # grant / termination deadline).
+                # grant / termination deadline); the wait is idle time.
                 timer = core.next_timer(t)
                 timeout = clock.wall_remaining(timer) if timer is not None else None
                 if timeout is not None and timeout <= 0.0:
                     continue
+                start = clock.now()
                 await self._wait_for_wake(timeout)
+                core.advance(None, clock.now() - start, decision.frequency)
                 if timeout is not None:
                     clock.note_lag(timer)
                 continue
@@ -346,8 +348,9 @@ def _submission(spec: object) -> Tuple[str, Optional[float]]:
     """Validate one submission ``{"task": name, "demand": Mcycles?}``.
 
     Raises ``TypeError``/``ValueError`` on a malformed shape, including
-    a boolean, non-finite or non-positive ``demand``; whether the task
-    exists is the core's call (:class:`UnknownTaskError`).
+    a ``demand`` that is not a JSON number (a string or a boolean) or is
+    non-finite or non-positive; whether the task exists is the core's
+    call (:class:`UnknownTaskError`).
     """
     if not isinstance(spec, dict):
         raise TypeError(f"submission must be a JSON object, got {type(spec).__name__}")
@@ -355,7 +358,8 @@ def _submission(spec: object) -> Tuple[str, Optional[float]]:
     if not isinstance(task, str):
         raise ValueError('submission needs a "task" name')
     demand = spec.get("demand")
-    if demand is not None and (isinstance(demand, bool) or not 0.0 < float(demand) < math.inf):
+    if demand is not None and (isinstance(demand, bool) or not isinstance(demand, (int, float))
+                               or not 0.0 < demand < math.inf):
         raise ValueError(f"demand must be a finite number > 0, got {demand!r}")
     return task, float(demand) if demand is not None else None
 

@@ -15,7 +15,7 @@ from repro.experiments.workload import synthesize_taskset
 from repro.arrivals import is_uam_compliant
 from repro.obs import EventKind, Observer, events_from_jsonl, events_to_jsonl
 from repro.runtime import AdaptiveRuntime, RuntimeConfig
-from repro.sim import JobStatus, Platform, materialize, simulate
+from repro.sim import Job, JobStatus, Platform, materialize, simulate
 
 PLATFORM = Platform.powernow_k6()
 
@@ -120,6 +120,24 @@ class TestDeferPolicy:
         for e in violations:
             assert e.fields["policy"] == "defer"
             assert e.fields["deferred_to"] is not None
+
+
+class TestArrivalVerdict:
+    @pytest.mark.parametrize("policy, action, reason", [
+        ("shed", "shed", "uam-violation"),
+        ("defer", "defer", "uam-deferral"),
+        ("admit-and-flag", "admit", "feasible"),
+    ])
+    def test_verdict_names_its_reason(self, policy, action, reason):
+        ts = synthesize_taskset(0.8, np.random.default_rng(11), f_max=PLATFORM.scale.f_max)
+        task = ts[0]
+        assert task.uam.max_arrivals == 1
+        rt = AdaptiveRuntime(RuntimeConfig(policy=policy, adapt=False))
+        rt.bind(ts, PLATFORM.scale, PLATFORM.energy_model, EUAStar())
+        first = rt.on_arrival(Job(task, 0, 0.0, task.allocation), 0.0, [])
+        assert (first.action, first.reason) == ("admit", "feasible")
+        second = rt.on_arrival(Job(task, 1, 0.0, task.allocation), 0.0, [])
+        assert (second.action, second.reason) == (action, reason)
 
 
 class TestEventRoundTrip:

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments import synthesize_taskset
 from repro.obs import EventKind, events_from_jsonl, events_to_jsonl
 from repro.runtime import ViolationPolicy
+from repro.sim import Platform
 from repro.svc import ServiceCore, SubmitOutcome, UnknownTaskError
 
 
@@ -54,7 +55,7 @@ class TestSubmit:
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 core.submit(task.name, 0.0, demand=bad)
-        assert core.monitor.effective_times(task.name) == []
+        assert core.runtime.monitor.effective_times(task.name) == []
         assert core.counters == before
         outcome = core.submit(task.name, 0.0)
         assert outcome.status == "admitted"
@@ -155,6 +156,13 @@ class TestDispatch:
         assert core.utility_accrued == pytest.approx(job.accrued_utility)
         assert job not in core.ready
 
+    def test_idle_advance_charges_idle_time(self, taskset):
+        core = ServiceCore(taskset, Platform(idle_power=5.0))
+        core.advance(None, 0.5, core.decide(0.0).frequency)
+        stats = core.processor.stats
+        assert (stats.idle_time, stats.idle_energy) == (0.5, 2.5)
+        assert (stats.busy_time, stats.switch_count) == (0.0, 0)
+
     def test_partial_progress_does_not_complete(self, core, taskset):
         task = taskset[0]
         core.submit(task.name, 0.0)
@@ -194,11 +202,18 @@ class TestObservability:
         log = events_from_jsonl(text)
         kinds = [e.kind for e in log.events]
         assert EventKind.RELEASE in kinds
-        assert EventKind.ADMISSION_DECISION in kinds
         assert EventKind.DISPATCH in kinds
         assert EventKind.COMPLETE in kinds
-        assert all(e.source == "svc" for e in log.events
-                   if e.kind is EventKind.ADMISSION_DECISION)
+        # A feasible admit is announced by its release alone.
+        assert EventKind.ADMISSION_DECISION not in kinds
+        release = next(e for e in log.events if e.kind is EventKind.RELEASE)
+        assert (release.source, release.job) == ("svc", f"{task.name}:0")
+        # A UAM shed logs one runtime violation, keyed like a trace job.
+        assert task.uam.max_arrivals == 1
+        assert core.submit(task.name, 0.01).status == "shed"
+        shed = core.observer.events.events[len(log.events):]
+        assert [(e.kind, e.source, e.job) for e in shed] == [
+            (EventKind.UAM_VIOLATION, "runtime", f"{task.name}:1")]
 
     def test_stats_snapshot_keys(self, core, taskset):
         core.submit(taskset[0].name, 0.0)

@@ -120,18 +120,24 @@ def test_tasks_endpoint_lists_hosted_envelopes():
 def test_event_stream_is_wellformed_jsonl():
     async def scenario(service, conn):
         names = [task.name for task in service.core.taskset[:4]]
-        await conn.request("POST", "/jobs/batch", [{"task": n} for n in names])
+        assert service.core.taskset[0].uam.max_arrivals == 1
+        # The repeated first task breaks its UAM envelope and is shed.
+        _, body = await conn.request("POST", "/jobs/batch",
+                                     [{"task": n} for n in names + names[:1]])
+        assert [v["status"] for v in json.loads(body)] == ["admitted"] * 4 + ["shed"]
         await asyncio.sleep(0.05)  # let the executor dispatch
         status, body = await conn.request("GET", "/events")
         assert status == 200
         log = events_from_jsonl(body.decode())
-        kinds = {event.kind for event in log.events}
-        assert EventKind.ADMISSION_DECISION in kinds
-        assert EventKind.RELEASE in kinds
-        # Ingestion events are stamped "svc"; scheduler-internal events
-        # (freq decisions, ...) carry the scheduler's own name.
-        sources = {event.source for event in log.events}
-        assert "svc" in sources
+        # Ingestion events are stamped "svc": a feasible admit is its
+        # release alone.  The arrival gate's events are the runtime's;
+        # scheduler-internal events (freq decisions, ...) carry the
+        # scheduler's own name.
+        releases = [e for e in log.events if e.kind is EventKind.RELEASE]
+        assert [(e.source, e.job) for e in releases] == [("svc", f"{n}:0") for n in names]
+        assert [(e.kind, e.source, e.job) for e in log.events
+                if e.kind in (EventKind.UAM_VIOLATION, EventKind.ADMISSION_DECISION)] == [
+            (EventKind.UAM_VIOLATION, "runtime", f"{names[0]}:1")]
         assert all(event.source for event in log.events)
         # Pagination: `since` skips the prefix.
         n = len(log.events)
@@ -267,7 +273,7 @@ def test_batch_with_malformed_element_admits_nothing():
     async def scenario(service, conn):
         name = service.core.taskset[0].name
         other = service.core.taskset[1].name
-        for bad in ({}, 7, {"task": name, "demand": "lots"},
+        for bad in ({}, 7, {"task": name, "demand": "lots"}, {"task": other, "demand": "5"},
                     {"task": other, "demand": 0}, {"task": other, "demand": -1.5},
                     {"task": other, "demand": True}, {"task": other, "demand": 1e400}):
             status, body = await conn.request("POST", "/jobs/batch", [{"task": name}, bad])
