@@ -6,8 +6,8 @@ from one task, and the test suite drives it directly with fake time.
 It binds the paper's online machinery to an *open* arrival stream:
 
 * every submission is released through the engine's own
-  :class:`~repro.sim.engine.JobLifecycle`, gated by the engine's
-  :class:`~repro.runtime.AdaptiveRuntime` with re-allocation off: UAM
+  :class:`~repro.sim.engine.JobLifecycle`, gated as in a simulation by
+  an :class:`~repro.runtime.AdaptiveRuntime` with re-allocation off: UAM
   compliance (shed / defer / admit-and-flag on envelope violations),
   then admission (feasibility projection at ``f_max``, lowest-UER
   eviction on overload) — one gate, one event vocabulary;
