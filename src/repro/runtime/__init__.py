@@ -8,7 +8,7 @@ caught at release time instead of discovered mid-execution.  See
 ``docs/runtime.md`` for the design and the no-op equivalence contract.
 """
 
-from .adaptive import AdaptiveRuntime, ArrivalVerdict, RuntimeConfig
+from .adaptive import UAM_VIOLATION, AdaptiveRuntime, ArrivalVerdict, RuntimeConfig
 from .admission import AdmissionController, AdmissionVerdict
 from .drift import CUSUMDrift, DriftDetector, ZScoreDrift, make_drift_detector
 from .monitor import UAMComplianceMonitor, Violation, ViolationPolicy
@@ -18,6 +18,7 @@ __all__ = [
     "AdaptiveRuntime",
     "RuntimeConfig",
     "ArrivalVerdict",
+    "UAM_VIOLATION",
     "AdaptiveProfiler",
     "DriftReport",
     "DriftDetector",

@@ -51,7 +51,10 @@ from .drift import make_drift_detector
 from .monitor import UAMComplianceMonitor, ViolationPolicy
 from .profiler import AdaptiveProfiler
 
-__all__ = ["RuntimeConfig", "ArrivalVerdict", "AdaptiveRuntime"]
+__all__ = ["RuntimeConfig", "ArrivalVerdict", "AdaptiveRuntime", "UAM_VIOLATION"]
+
+#: :attr:`ArrivalVerdict.reason` of an arrival shed for breaking its UAM envelope.
+UAM_VIOLATION = "uam-violation"
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ class ArrivalVerdict:
     release: Optional[float] = None
     #: Ready jobs the admission layer evicted (engine sheds them).
     evictions: Tuple[Job, ...] = ()
-    #: Why: ``"uam-violation"``, ``"uam-deferral"`` or the admission
+    #: Why: :data:`UAM_VIOLATION`, ``"uam-deferral"`` or the admission
     #: verdict's reason (``"feasible"``, ``"evicted-lower-uer"``, ...).
     reason: str = "feasible"
 
@@ -208,7 +211,7 @@ class AdaptiveRuntime:
                 )
                 if self.policy is ViolationPolicy.SHED:
                     self.shed_jobs += 1
-                    return ArrivalVerdict("shed", reason="uam-violation")
+                    return ArrivalVerdict("shed", reason=UAM_VIOLATION)
                 if self.policy is ViolationPolicy.DEFER:
                     self.deferred_jobs += 1
                     return ArrivalVerdict("defer", release=violation.deferred_to,

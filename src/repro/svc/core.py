@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..obs import EventKind, Observer
-from ..runtime import AdaptiveRuntime, ArrivalVerdict, RuntimeConfig, ViolationPolicy
+from ..runtime import (UAM_VIOLATION, AdaptiveRuntime, ArrivalVerdict, RuntimeConfig,
+                       ViolationPolicy)
 from ..sched import make_scheduler
 from ..sim import Platform
 from ..sim.engine import EPS_CYCLES, EPS_TIME, JobLifecycle
@@ -140,7 +141,7 @@ class ServiceCore:
         """Count one gate verdict and turn it into the client's."""
         action, reason = verdict.action, verdict.reason
         if action == "shed":
-            status = "shed" if reason == "uam-violation" else "rejected"
+            status = "shed" if reason == UAM_VIOLATION else "rejected"
         else:
             status = "admitted" if action == "admit" else "deferred"
         self.counters["shed_uam" if status == "shed" else status] += 1
@@ -187,11 +188,13 @@ class ServiceCore:
                                remaining_budget=decision.job.remaining_budget)
         return decision
 
-    def advance(self, job: Optional[Job], dt: float, frequency: float) -> None:
+    def advance(self, job: Optional[Job], dt: float,
+                frequency: Optional[float] = None) -> None:
         """Run ``job`` for ``dt`` clock-seconds at ``frequency`` on the
         service's processor (cycles, energy, switches, residency); with
-        ``job=None`` the processor idles for ``dt`` at its current
-        frequency, as the engine's idle core does."""
+        ``job=None`` the processor idles for ``dt``, as the engine's idle
+        core does, and ``frequency`` is not used (idle power does not
+        depend on it)."""
         cpu = self.processor
         if job is None:
             cpu.idle(dt)

@@ -124,7 +124,7 @@ class SchedulerService:
                     continue
                 start = clock.now()
                 await self._wait_for_wake(timeout)
-                core.advance(None, clock.now() - start, decision.frequency)
+                core.advance(None, clock.now() - start)
                 if timeout is not None:
                     clock.note_lag(timer)
                 continue

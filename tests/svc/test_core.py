@@ -158,7 +158,8 @@ class TestDispatch:
 
     def test_idle_advance_charges_idle_time(self, taskset):
         core = ServiceCore(taskset, Platform(idle_power=5.0))
-        core.advance(None, 0.5, core.decide(0.0).frequency)
+        core.decide(0.0)
+        core.advance(None, 0.5)
         stats = core.processor.stats
         assert (stats.idle_time, stats.idle_energy) == (0.5, 2.5)
         assert (stats.busy_time, stats.switch_count) == (0.0, 0)

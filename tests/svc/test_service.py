@@ -15,7 +15,7 @@ import pytest
 from repro.artifacts import write_bench_artifact
 from repro.experiments import synthesize_taskset
 from repro.obs import EventKind, events_from_jsonl
-from repro.sim import WallClock
+from repro.sim import Platform, WallClock
 from repro.svc import (
     SchedulerService,
     ServiceCore,
@@ -29,10 +29,10 @@ def _taskset():
     return synthesize_taskset(0.8, np.random.default_rng(11))
 
 
-async def _with_service(scenario, rate: float = 50.0):
+async def _with_service(scenario, rate: float = 50.0, core=None):
     """Start a service on an ephemeral port, run ``scenario(service,
     conn)`` against it over one persistent connection, always stop."""
-    service = SchedulerService(ServiceCore(_taskset()),
+    service = SchedulerService(core or ServiceCore(_taskset()),
                                clock=WallClock(rate=rate))
     await service.start()
     conn = _Connection(service.host, service.port)
@@ -188,6 +188,28 @@ def test_submitted_job_runs_to_completion():
         assert EventKind.COMPLETE in kinds
 
     asyncio.run(_with_service(scenario, rate=100.0))
+
+
+def test_idle_executor_charges_its_wait():
+    """The executor's idle wait is idle time on the service's processor,
+    charged when a submission ends it."""
+    async def scenario(service, conn):
+        await asyncio.sleep(0.05)  # idle: nothing submitted yet
+        cpu = service.core.processor.stats
+        assert cpu.idle_time == 0.0
+        await conn.request("POST", "/jobs", {"task": service.core.taskset[0].name})
+        for _ in range(100):
+            if cpu.idle_time > 0.0:
+                break
+            await asyncio.sleep(0.01)
+        # At rate 50 the 50 ms wall wait is >= 2.5 s of service time.
+        assert cpu.idle_time >= 2.0
+        assert cpu.idle_energy == pytest.approx(5.0 * cpu.idle_time)
+        _, body = await conn.request("GET", "/stats")
+        assert json.loads(body)["energy"] >= cpu.idle_energy > 0.0
+
+    asyncio.run(_with_service(scenario, core=ServiceCore(_taskset(),
+                                                         Platform(idle_power=5.0))))
 
 
 def test_shutdown_endpoint_stops_serve_until_shutdown():

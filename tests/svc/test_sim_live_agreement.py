@@ -135,6 +135,7 @@ def _assert_same_run(kind, name, policy):
     assert core.utility_accrued == pytest.approx(result.metrics.accrued_utility,
                                                  rel=1e-12, abs=0.0)
     svc_cpu, sim_cpu = core.processor.stats, result.processor_stats
+    assert svc_cpu.total_energy > 0.0
     assert svc_cpu.idle_energy == pytest.approx(sim_cpu.idle_energy, rel=1e-12)
     if name == "EDF":  # at f_max every EDF run idles somewhere
         assert svc_cpu.idle_energy > 0.0
