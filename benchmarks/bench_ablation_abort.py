@@ -7,6 +7,7 @@ overloads: equal-or-lower utility at equal-or-higher energy.
 """
 
 from repro.core import EUAStar
+from repro.experiments import SchedulerSpec
 
 from _ablation_common import mean_metric, run_variants
 
@@ -14,8 +15,8 @@ from _ablation_common import mean_metric, run_variants
 def _run(seeds, horizon):
     return run_variants(
         [
-            lambda: EUAStar(name="EUA*"),
-            lambda: EUAStar(name="EUA*-noAbort", abort_infeasible=False),
+            SchedulerSpec.of(EUAStar, name="EUA*"),
+            SchedulerSpec.of(EUAStar, name="EUA*-noAbort", abort_infeasible=False),
         ],
         load=1.6,
         seeds=seeds,

@@ -6,6 +6,7 @@ savings.  Quantifies what Algorithm 2 is worth.
 """
 
 from repro.core import EUAStar
+from repro.experiments import SchedulerSpec
 
 from _ablation_common import mean_metric, run_variants
 
@@ -14,8 +15,8 @@ def _run(seeds, horizon):
     return {
         load: run_variants(
             [
-                lambda: EUAStar(name="EUA*"),
-                lambda: EUAStar(name="EUA*-noDVS", use_dvs=False),
+                SchedulerSpec.of(EUAStar, name="EUA*"),
+                SchedulerSpec.of(EUAStar, name="EUA*-noDVS", use_dvs=False),
             ],
             load=load,
             seeds=seeds,

@@ -13,7 +13,7 @@ linear-TUF workloads:
 """
 
 from repro.core import EUAStar
-from repro.experiments import ascii_table
+from repro.experiments import SchedulerSpec, ascii_table
 
 from _ablation_common import mean_metric, run_variants
 
@@ -23,9 +23,9 @@ def _run(seeds, horizon):
     for a in (1, 3):
         out = run_variants(
             [
-                lambda: EUAStar(name="LA", dvs_method="lookahead"),
-                lambda: EUAStar(name="PD", dvs_method="demand"),
-                lambda: EUAStar(name="noDVS", use_dvs=False),
+                SchedulerSpec.of(EUAStar, name="LA", dvs_method="lookahead"),
+                SchedulerSpec.of(EUAStar, name="PD", dvs_method="demand"),
+                SchedulerSpec.of(EUAStar, name="noDVS", use_dvs=False),
             ],
             load=0.8,
             seeds=seeds,

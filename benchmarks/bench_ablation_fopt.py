@@ -8,6 +8,7 @@ LA-EDF's race-to-f_min and *wastes* energy relative to no-DVS.
 """
 
 from repro.core import EUAStar
+from repro.experiments import SchedulerSpec
 
 from _ablation_common import mean_metric, run_variants
 
@@ -17,9 +18,9 @@ def _run(seeds, horizon):
     for energy in ("E1", "E3"):
         out[energy] = run_variants(
             [
-                lambda: EUAStar(name="EUA*"),
-                lambda: EUAStar(name="EUA*-noFopt", use_fopt_bound=False),
-                lambda: EUAStar(name="EUA*-fmax", use_dvs=False),
+                SchedulerSpec.of(EUAStar, name="EUA*"),
+                SchedulerSpec.of(EUAStar, name="EUA*-noFopt", use_fopt_bound=False),
+                SchedulerSpec.of(EUAStar, name="EUA*-fmax", use_dvs=False),
             ],
             load=0.5,
             seeds=seeds,

@@ -10,7 +10,7 @@ the free-idling assumption.
 """
 
 from repro.core import EUAStar
-from repro.experiments import ascii_table, energy_setting
+from repro.experiments import SchedulerSpec, ascii_table, energy_setting
 from repro.sched import EDFStatic
 
 from _ablation_common import mean_metric, run_variants
@@ -22,7 +22,7 @@ def _run(seeds, horizon):
     rows = []
     for frac in (0.0, 0.1, 0.3):
         out = run_variants(
-            [lambda: EUAStar(name="EUA*"), lambda: EDFStatic(name="EDF")],
+            [SchedulerSpec.of(EUAStar, name="EUA*"), SchedulerSpec.of(EDFStatic, name="EDF")],
             load=0.5,
             seeds=seeds,
             horizon=horizon,

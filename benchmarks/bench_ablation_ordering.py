@@ -10,6 +10,7 @@ f° bound — see bench_ablation_fopt) and reports both variants' utility.
 """
 
 from repro.core import EUAStar
+from repro.experiments import SchedulerSpec
 
 from _ablation_common import mean_metric, run_variants
 
@@ -17,8 +18,8 @@ from _ablation_common import mean_metric, run_variants
 def _run(seeds, horizon):
     return run_variants(
         [
-            lambda: EUAStar(name="EUA*"),
-            lambda: EUAStar(name="EUA*-UD", ordering="utility_density"),
+            SchedulerSpec.of(EUAStar, name="EUA*"),
+            SchedulerSpec.of(EUAStar, name="EUA*-UD", ordering="utility_density"),
         ],
         load=1.5,
         seeds=seeds,

@@ -27,7 +27,6 @@ __all__ = [
     "first_violation",
     "next_admissible_time",
     "thin_to_uam",
-    "UAMTracker",
 ]
 
 
@@ -49,9 +48,9 @@ def effective_window(window: float) -> float:
     accumulation) spans the full window, so an arrival landing exactly
     at the trailing edge ``t = t_prev + P`` opens a *new* window and
     never counts against the old one.  Every consumer — the compliance
-    checks below, :class:`UAMTracker`, the runtime's compliance monitor
-    and the generators' thinning — compares gaps against this shrunk
-    window so their notions of "inside the window" can never diverge.
+    checks below, the runtime's compliance monitor and the generators'
+    thinning — compares gaps against this shrunk window so their
+    notions of "inside the window" can never diverge.
     """
     return window - _TOL_REL * max(1.0, abs(window))
 
@@ -185,45 +184,3 @@ def thin_to_uam(times: Sequence[float], spec: UAMSpec) -> List[float]:
         if len(kept) < a or t - kept[-a] >= w:
             kept.append(t)
     return kept
-
-
-class UAMTracker:
-    """Online UAM admission control.
-
-    Feed arrivals one at a time; :meth:`admit` reports whether accepting
-    the arrival keeps the stream ``⟨a, P⟩``-compliant, and records it if
-    so.  Useful both for enforcing UAM at simulation boundaries and for
-    checking generator output incrementally.
-    """
-
-    def __init__(self, spec: UAMSpec):
-        self.spec = spec
-        self._recent: List[float] = []  # kept arrivals within the last window
-
-    def would_admit(self, t: float) -> bool:
-        """Whether an arrival at ``t`` would keep the stream compliant."""
-        if self._recent and t < self._recent[-1]:
-            raise UAMError(f"arrivals must be fed in order (got {t} after {self._recent[-1]})")
-        w = _effective_window(self.spec.window)
-        recent = [x for x in self._recent if t - x < w]
-        return len(recent) < self.spec.max_arrivals
-
-    def admit(self, t: float) -> bool:
-        """Record the arrival if admissible; return the admission verdict."""
-        ok = self.would_admit(t)
-        if ok:
-            w = _effective_window(self.spec.window)
-            self._recent = [x for x in self._recent if t - x < w]
-            self._recent.append(t)
-        return ok
-
-    @property
-    def arrivals_in_current_window(self) -> int:
-        """How many admitted arrivals remain inside the trailing window."""
-        return len(self._recent)
-
-    def remaining_budget(self, t: float) -> int:
-        """How many more arrivals could be admitted at time ``t``."""
-        w = _effective_window(self.spec.window)
-        recent = [x for x in self._recent if t - x < w]
-        return self.spec.max_arrivals - len(recent)

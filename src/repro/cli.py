@@ -59,6 +59,7 @@ from .experiments import (
     check_assurances,
     check_edf_equivalence,
     energy_setting,
+    WorkloadSpec,
     multicore_units,
     run_figure2,
     run_figure3,
@@ -66,6 +67,7 @@ from .experiments import (
     sweep_ladder_granularity,
     sweep_rho,
     sweep_taskset_size,
+    synthesize_taskset,
 )
 from .sched import available_schedulers, make_scheduler
 
@@ -115,18 +117,6 @@ def _host_port(text: str):
 # ----------------------------------------------------------------------
 # Helpers the handlers share
 # ----------------------------------------------------------------------
-def _synthesize(load: float, seed: int, **shape):
-    """The task set ``load``/``seed`` describe (``shape``: further
-    :func:`synthesize_taskset` knobs) and the generator that drew it,
-    ready to materialise the workload."""
-    import numpy as np
-
-    from .experiments import synthesize_taskset
-
-    rng = np.random.default_rng(seed)
-    return synthesize_taskset(load, rng, **shape), rng
-
-
 def _write_svg_pair(render, result, svg: str) -> None:
     """``render(result, metric, path)`` into ``<base>_{utility,energy}.svg``."""
     base = svg[:-4] if svg.endswith(".svg") else svg
@@ -309,18 +299,18 @@ def _cmd_schedulers(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .sim import Platform, compare, materialize
+    from .sim import Platform, compare
 
-    taskset, rng = _synthesize(
+    _taskset, trace = WorkloadSpec(
         args.load,
         args.seed,
+        args.horizon,
         tuf_shape=args.tuf,
         nu=args.nu,
         rho=args.rho,
         arrival_mode=args.arrivals.name,
         arrival_params=args.arrivals.params,
-    )
-    trace = materialize(taskset, args.horizon, rng)
+    ).build()
     platform = Platform(energy_model=energy_setting(args.energy))
     runs = compare(
         [make_scheduler(n) for n in args.schedulers],
@@ -350,10 +340,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     from .analysis import jobs_from_trace, yds_energy
     from .core import EUAStar
-    from .sim import Platform, materialize, simulate
+    from .sim import Platform, simulate
 
-    taskset, rng = _synthesize(args.load, args.seed)
-    trace = materialize(taskset, args.horizon, rng)
+    _taskset, trace = WorkloadSpec(args.load, args.seed, args.horizon).build()
     model = energy_setting(args.energy)
     result = simulate(trace, EUAStar(), platform=Platform(energy_model=model))
     bound = yds_energy(jobs_from_trace(trace), model)
@@ -366,18 +355,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _audit_mp_units(units) -> int:
     """Re-run every arm of ``units`` under a collecting checker; 1 on any violation."""
     from .check import InvariantChecker
-    from .mp import simulate_mp
 
     found = 0
     for unit in units:
         _taskset, trace = unit.workload.build()
-        platform = unit.platform.build_mp()
         for spec in unit.schedulers:
             checker = InvariantChecker(mode="collect")
-            simulate_mp(trace, spec.build, platform, mode=unit.platform.mp_mode,
-                        strategy=unit.platform.partition_strategy, checker=checker)
+            name = unit.platform.run(trace, spec, checker=checker).scheduler_name
             for violation in checker.violations:
-                print(f"  {unit.platform.mp_mode} {spec.display_name}: {violation}")
+                print(f"  {unit.platform.mp_mode} {name}: {violation}")
             found += len(checker.violations)
     print(f"invariants: {found} violation(s)" if found else "invariants: all clean")
     return 1 if found else 0
@@ -416,10 +402,9 @@ def _named_sweep(title: str, table):
 
 def _traced_run(args: argparse.Namespace, observer, seed: int):
     """One simulation at ``seed`` with ``observer`` attached (trace/obs)."""
-    from .sim import Platform, materialize, simulate
+    from .sim import Platform, simulate
 
-    taskset, rng = _synthesize(args.load, seed)
-    workload = materialize(taskset, args.horizon, rng)
+    _taskset, workload = WorkloadSpec(args.load, seed, args.horizon).build()
     result = simulate(
         workload,
         make_scheduler(args.scheduler),
@@ -756,11 +741,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    import numpy as np
+
     from .runtime import ViolationPolicy
     from .sim import Platform, WallClock
     from .svc import SchedulerService, ServiceCore
 
-    taskset, _rng = _synthesize(args.load, args.seed)
+    taskset = synthesize_taskset(args.load, np.random.default_rng(args.seed))
     core = ServiceCore(
         taskset,
         Platform(energy_model=energy_setting(args.energy)),

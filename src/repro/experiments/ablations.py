@@ -8,16 +8,13 @@ plain row dictionaries compatible with
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..core import EUAStar
 from ..sched import DASA, EDFStatic
-from ..sim import Platform, SimulationResult, compare, materialize
-from .config import DEFAULT_HORIZON, DEFAULT_SEEDS, energy_setting
+from ..sim import SimulationResult
+from .config import DEFAULT_HORIZON, DEFAULT_SEEDS
 from .parallel import CompareUnit, PlatformSpec, SchedulerSpec, WorkloadSpec, run_units
-from .workload import synthesize_taskset
 
 __all__ = [
     "run_policy_grid",
@@ -27,13 +24,8 @@ __all__ = [
     "ablate_dasa",
 ]
 
-#: A grid arm: a picklable spec (parallelisable) or a bare factory
-#: callable (legacy; serial only).
-PolicyArm = Union[SchedulerSpec, Callable[[], object]]
-
-
 def run_policy_grid(
-    factories: Sequence[PolicyArm],
+    factories: Sequence[SchedulerSpec],
     load: float,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     horizon: float = DEFAULT_HORIZON,
@@ -49,57 +41,31 @@ def run_policy_grid(
     """Run scheduler arms over shared per-seed workloads.
 
     Returns ``{scheduler name: [result per seed]}`` — the primitive
-    behind every ablation bench.  Arms given as :class:`SchedulerSpec`
-    shard across a process pool with ``workers > 1`` (results merged in
-    seed order, identical to serial); bare factory callables are
-    supported for backwards compatibility but run serially.
+    behind every ablation bench.  The arms shard across a process pool
+    with ``workers > 1`` (results merged in seed order, identical to
+    serial).
     """
-    if all(isinstance(f, SchedulerSpec) for f in factories):
-        units = [
-            CompareUnit(
-                key=(seed,),
-                schedulers=tuple(factories),
-                workload=WorkloadSpec(
-                    load=load,
-                    seed=seed,
-                    horizon=horizon,
-                    tuf_shape=tuf_shape,
-                    nu=nu,
-                    rho=rho,
-                    arrival_mode=arrival_mode,
-                    burst_override=burst_override,
-                ),
-                platform=PlatformSpec(energy=energy, idle_power=idle_power),
-            )
-            for seed in seeds
-        ]
-        outcomes = run_units(units, max_workers=workers)
-        out: Dict[str, List[SimulationResult]] = {}
-        for outcome in outcomes:
-            for name, result in outcome.results.items():
-                out.setdefault(name, []).append(result)
-        return out
-    if workers > 1:
-        raise ValueError(
-            "workers > 1 requires every arm to be a SchedulerSpec "
-            "(bare factory callables cannot be pickled to worker processes)"
+    units = [
+        CompareUnit(
+            key=(seed,),
+            schedulers=tuple(factories),
+            workload=WorkloadSpec(
+                load=load,
+                seed=seed,
+                horizon=horizon,
+                tuf_shape=tuf_shape,
+                nu=nu,
+                rho=rho,
+                arrival_mode=arrival_mode,
+                burst_override=burst_override,
+            ),
+            platform=PlatformSpec(energy=energy, idle_power=idle_power),
         )
-    platform = Platform(energy_model=energy_setting(energy), idle_power=idle_power)
-    out = {}
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        taskset = synthesize_taskset(
-            load,
-            rng,
-            tuf_shape=tuf_shape,
-            nu=nu,
-            rho=rho,
-            arrival_mode=arrival_mode,
-            burst_override=burst_override,
-        )
-        trace = materialize(taskset, horizon, rng)
-        results = compare([f() for f in factories], trace, platform=platform)
-        for name, result in results.items():
+        for seed in seeds
+    ]
+    out: Dict[str, List[SimulationResult]] = {}
+    for outcome in run_units(units, max_workers=workers):
+        for name, result in outcome.results.items():
             out.setdefault(name, []).append(result)
     return out
 

@@ -37,6 +37,7 @@ from ..core import EUAStar
 from ..runtime import AdaptiveRuntime, RuntimeConfig
 from ..sim import Platform, SimulationResult, simulate
 from ..sim.workload import JobSpec, WorkloadTrace, materialize
+from .parallel import WorkloadSpec
 from .workload import synthesize_taskset
 
 __all__ = [
@@ -66,9 +67,7 @@ def drifting_trace(
     demand collapse (over-provisioned budgets).
     """
     platform = platform if platform is not None else Platform.powernow_k6()
-    rng = np.random.default_rng(seed)
-    taskset = synthesize_taskset(load, rng, f_max=platform.scale.f_max)
-    base = materialize(taskset, horizon, rng)
+    taskset, base = WorkloadSpec(load, seed, horizon, f_max=platform.scale.f_max).build()
     onset = drift_at * horizon
     specs: List[JobSpec] = [
         replace(spec, demand=spec.demand * drift_factor)

@@ -1,13 +1,14 @@
 """Process-pool sweep execution for the experiment drivers.
 
-Every figure/ablation/sensitivity sweep in this package decomposes into
-independent *units* — one ``compare()`` over one materialised workload
-(a seed × setting × scheduler-list cell).  This module makes those
-units picklable and runs them over a :class:`~concurrent.futures.\
-ProcessPoolExecutor` with chunked dispatch and a **deterministic
-merge**: results come back in submission order regardless of worker
-interleaving, so a sweep at ``max_workers=4`` is value-identical to the
-same sweep at ``max_workers=1`` (the determinism suite asserts it).
+Every figure/ablation/sensitivity sweep and every campaign replication
+in this package decomposes into independent *units* — every scheduler
+arm over one materialised workload (a seed × setting × scheduler-list
+cell).  This module makes those units picklable and runs them over a
+:class:`~concurrent.futures.ProcessPoolExecutor` with chunked dispatch
+and a **deterministic merge**: results come back in submission order
+regardless of worker interleaving, so a sweep at ``max_workers=4`` is
+value-identical to the same sweep at ``max_workers=1`` (the
+determinism suite asserts it).
 
 Building blocks
 ---------------
@@ -19,7 +20,13 @@ Building blocks
     Everything a worker needs to resynthesise the unit's task set,
     materialise its trace, and rebuild its platform, reproducing the
     serial drivers' RNG discipline exactly (one ``default_rng(seed)``
-    shared by synthesis and materialisation).
+    shared by synthesis and materialisation).  ``WorkloadSpec.build``
+    is the package's one synthesise-then-materialise sequence.
+:meth:`PlatformSpec.run`
+    The one arm runner: one scheduler over one trace, on the
+    uniprocessor engine at ``cores == 1`` and on
+    :func:`repro.mp.simulate_mp` otherwise.  Sweeps, campaigns and the
+    CLI's multicore audit all run their arms through it.
 :class:`CompareUnit` → :func:`run_units` → :class:`CompareOutcome`
     The sweep primitive.  ``collect_metrics=True`` attaches a
     metrics-only :class:`~repro.obs.Observer` per scheduler; merge the
@@ -30,8 +37,8 @@ Building blocks
     The one order-preserving pool driver: ``fn(shared, chunk)`` per
     contiguous chunk, with the shared payload installed once per worker.
 :func:`run_sweep`
-    Its per-item adapter, used by :func:`run_units` and by
-    :func:`repro.sim.runner.compare`'s ``workers`` argument.
+    Its per-item adapter, behind :func:`run_units` and
+    :func:`repro.sim.runner.compare` (serial at ``max_workers=1``).
 
 ``max_workers=1`` (the default everywhere) never touches
 ``multiprocessing`` — sweeps degrade gracefully to the serial path, and
@@ -49,18 +56,23 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import import_module
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 import numpy as np
 
 from ..cpu import FrequencyScale
 from ..obs import MetricsRegistry, Observer, Telemetry
+from ..sim import runner
 from ..sim.engine import SimulationResult
-from ..sim.runner import Platform, simulate
+from ..sim.runner import Platform
 from ..sim.task import TaskSet
-from ..sim.workload import materialize
+from ..sim.workload import WorkloadTrace, materialize
 from .config import TABLE1, AppSetting, energy_setting
 from .workload import synthesize_taskset
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (check imports sim)
+    from ..check import InvariantChecker
 
 __all__ = [
     "SchedulerSpec",
@@ -124,15 +136,6 @@ class SchedulerSpec:
         for part in self.qualname.split("."):
             obj = getattr(obj, part)
         return obj(**dict(self.kwargs))
-
-    @property
-    def display_name(self) -> str:
-        if self.registry_name is not None:
-            return self.registry_name
-        for k, v in self.kwargs:
-            if k == "name":
-                return str(v)
-        return self.qualname or "<scheduler>"
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ class PlatformSpec:
     idle_power: float = 0.0
     switch_time: float = 0.0
     switch_energy: float = 0.0
-    #: Multicore dimension: ``cores > 1`` routes the unit through
+    #: Multicore dimension: ``cores > 1`` makes :meth:`run` use
     #: :func:`repro.mp.simulate_mp` in ``mp_mode`` ("partitioned" or
     #: "global"); ``partition_strategy``/``active_power`` parameterise
     #: the partitioner and the uncore power term.
@@ -231,6 +234,47 @@ class PlatformSpec:
         base = self.build()
         return MulticorePlatform.from_platform(
             base, cores=self.cores, active_power=self.active_power
+        )
+
+    def run(
+        self,
+        trace: WorkloadTrace,
+        spec: SchedulerSpec,
+        *,
+        observer: Optional[Observer] = None,
+        record_trace: bool = False,
+        checker: Optional["InvariantChecker"] = None,
+    ):
+        """Run one scheduler arm over ``trace`` on this platform.
+
+        The one place a run picks its engine: ``cores > 1`` goes through
+        :func:`repro.mp.simulate_mp` (one fresh policy per core in
+        partitioned mode), otherwise through :func:`repro.sim.simulate`.
+        Either result carries ``scheduler_name``, ``metrics``,
+        ``energy`` and ``normalized_utility``.
+        """
+        if self.cores > 1:
+            from ..mp import simulate_mp
+
+            return simulate_mp(
+                trace,
+                spec.build,
+                self.build_mp(),
+                mode=self.mp_mode,
+                strategy=self.partition_strategy,
+                observer=observer,
+                record_trace=record_trace,
+                checker=checker,
+            )
+        # Looked up on the module at call time, so a patched
+        # ``repro.sim.runner.simulate`` sees every arm.
+        return runner.simulate(
+            trace,
+            spec.build(),
+            self.build(),
+            record_trace=record_trace,
+            observer=observer,
+            checker=checker,
         )
 
 
@@ -266,53 +310,24 @@ class CompareOutcome:
 def _run_compare_unit(unit: CompareUnit) -> CompareOutcome:
     """Execute one unit (top-level so it pickles under ``spawn``).
 
-    ``unit.platform.cores > 1`` routes every scheduler arm through the
-    multicore engine (:func:`repro.mp.simulate_mp`); the resulting
-    :class:`~repro.mp.MPSimulationResult` satisfies the same
-    ``metrics``/``energy``/``normalized_utility`` consumer contract as
-    :class:`~repro.sim.engine.SimulationResult`, so the outcome shape
-    is identical either way.
+    Every arm runs through :meth:`PlatformSpec.run` on the one built
+    workload and is keyed by its result's ``scheduler_name``, so one
+    spec gets the same key at any core count.
     """
     taskset, trace = unit.workload.build()
-    use_mp = unit.platform.cores > 1
     results: Dict[str, SimulationResult] = {}
     metrics: Dict[str, MetricsRegistry] = {}
-    if use_mp:
-        from ..mp import simulate_mp
-
-        mp_platform = unit.platform.build_mp()
-        for spec in unit.schedulers:
-            name = spec.display_name
-            if name in results:
-                raise ValueError(f"duplicate scheduler name {name!r}")
-            observer = Observer(events=False, metrics=True) if unit.collect_metrics else None
-            results[name] = simulate_mp(
-                trace,
-                spec.build,
-                mp_platform,
-                mode=unit.platform.mp_mode,
-                strategy=unit.platform.partition_strategy,
-                observer=observer,
-                record_trace=unit.record_trace,
-            )
-            if observer is not None:
-                metrics[name] = observer.metrics
-        return CompareOutcome(key=unit.key, results=results, taskset=taskset, metrics=metrics)
-    platform = unit.platform.build()
     for spec in unit.schedulers:
-        scheduler = spec.build()
-        if scheduler.name in results:
-            raise ValueError(f"duplicate scheduler name {scheduler.name!r}")
         observer = Observer(events=False, metrics=True) if unit.collect_metrics else None
-        results[scheduler.name] = simulate(
-            trace,
-            scheduler,
-            platform,
-            record_trace=unit.record_trace,
-            observer=observer,
+        result = unit.platform.run(
+            trace, spec, observer=observer, record_trace=unit.record_trace
         )
+        name = result.scheduler_name
+        if name in results:
+            raise ValueError(f"duplicate scheduler name {name!r}")
+        results[name] = result
         if observer is not None:
-            metrics[scheduler.name] = observer.metrics
+            metrics[name] = observer.metrics
     return CompareOutcome(key=unit.key, results=results, taskset=taskset, metrics=metrics)
 
 

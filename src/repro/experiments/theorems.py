@@ -16,16 +16,14 @@ the corresponding benches print it, and integration tests assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List
 
 from ..analysis import brh_schedulable, is_underload_regime, verify_assurances
 from ..core import EUAStar
 from ..sched import EDFStatic
-from ..sim import JobStatus, Platform, compare, materialize
-from .config import DEFAULT_HORIZON, TABLE1, energy_setting
-from .workload import synthesize_taskset
+from ..sim import JobStatus, Platform, compare
+from .config import DEFAULT_HORIZON, energy_setting
+from .parallel import WorkloadSpec
 
 __all__ = ["TheoremEvidence", "check_edf_equivalence", "check_assurances"]
 
@@ -67,18 +65,7 @@ def check_edf_equivalence(
     directly comparable (DVS changes timing but not EDF-equivalence of
     the *ordering*; we compare the job completion order).
     """
-    rng = np.random.default_rng(seed)
-    taskset = synthesize_taskset(
-        target_load=load,
-        rng=rng,
-        apps=TABLE1,
-        tuf_shape="step",
-        nu=1.0,
-        rho=0.96,
-        f_max=f_max,
-        arrival_mode="periodic",
-    )
-    trace = materialize(taskset, horizon, rng)
+    taskset, trace = WorkloadSpec(load, seed, horizon, f_max=f_max).build()
     platform = Platform.powernow_k6(energy_setting(energy_setting_name, f_max))
     runs = compare(
         [EUAStar(name="EUA*", use_dvs=False), EDFStatic(name="EDF")],
@@ -131,18 +118,9 @@ def check_assurances(
     With ``tuf_shape='linear'`` the critical times precede termination
     times, exercising the Theorem 6 (BRH-condition) case.
     """
-    rng = np.random.default_rng(seed)
-    taskset = synthesize_taskset(
-        target_load=load,
-        rng=rng,
-        apps=TABLE1,
-        tuf_shape=tuf_shape,
-        nu=nu,
-        rho=rho,
-        f_max=f_max,
-        arrival_mode="periodic",
-    )
-    trace = materialize(taskset, horizon, rng)
+    taskset, trace = WorkloadSpec(
+        load, seed, horizon, tuf_shape=tuf_shape, nu=nu, rho=rho, f_max=f_max
+    ).build()
     platform = Platform.powernow_k6(energy_setting("E1", f_max))
     from ..sim import simulate
 

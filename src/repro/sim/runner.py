@@ -150,25 +150,18 @@ def compare(
     float streams never interact.  Schedulers must be picklable for the
     parallel path (every registry policy is).
     """
+    # Local import: repro.experiments.parallel imports this module.
+    from ..experiments.parallel import run_sweep
+
     platform = platform if platform is not None else Platform()
     trace = _as_workload(workload, horizon, rng, seed)
     names = [s.name for s in schedulers]
     for name in names:
         if names.count(name) > 1:
             raise ValueError(f"duplicate scheduler name {name!r}")
-    if workers > 1:
-        # Local import: repro.experiments.parallel imports this module.
-        from ..experiments.parallel import run_sweep
-
-        outs = run_sweep(
-            _simulate_unit,
-            [(trace, s, platform, record_trace) for s in schedulers],
-            max_workers=workers,
-        )
-        return dict(zip(names, outs))
-    results: Dict[str, SimulationResult] = {}
-    for scheduler in schedulers:
-        results[scheduler.name] = simulate(
-            trace, scheduler, platform, record_trace=record_trace
-        )
-    return results
+    outs = run_sweep(
+        _simulate_unit,
+        [(trace, s, platform, record_trace) for s in schedulers],
+        max_workers=workers,
+    )
+    return dict(zip(names, outs))

@@ -35,9 +35,11 @@ from ..analysis.assurance import wilson_interval
 from ..analysis.stats import SummaryStat
 from ..experiments.config import TABLE1, AppSetting
 from ..experiments.parallel import (
+    CompareUnit,
     PlatformSpec,
     SchedulerSpec,
     WorkloadSpec,
+    _run_compare_unit,
     run_chunked,
     run_sweep,
 )
@@ -197,61 +199,35 @@ class ReplicationSummary:
 def _run_replication(spec: ReplicationSpec) -> ReplicationSummary:
     """Simulate one replication (top-level so it pickles under spawn).
 
-    ``spec.platform.cores > 1`` routes each scheduler arm through the
-    multicore engine; the summary then carries the extra ``migrations``
-    scalar (0 in partitioned mode, so the field is still comparable
-    across modes).
+    The arms run as one :class:`~repro.experiments.parallel.CompareUnit`;
+    this only summarises them.  At ``spec.platform.cores > 1`` each
+    summary carries the extra ``migrations`` scalar (0 in partitioned
+    mode, so the field is still comparable across modes).
     """
-    taskset, trace = spec.workload.build()
+    outcome = _run_compare_unit(
+        CompareUnit(
+            key=(spec.workload.seed,),
+            schedulers=spec.schedulers,
+            workload=spec.workload,
+            platform=spec.platform,
+        )
+    )
     metrics: Dict[str, Dict[str, float]] = {}
     assurance: Dict[str, Dict[str, List[int]]] = {}
-    if spec.platform.cores > 1:
-        from ..mp import simulate_mp
-
-        mp_platform = spec.platform.build_mp()
-        for sched_spec in spec.schedulers:
-            name = sched_spec.display_name
-            if name in metrics:
-                raise ValueError(f"duplicate scheduler name {name!r}")
-            result = simulate_mp(
-                trace,
-                sched_spec.build,
-                mp_platform,
-                mode=spec.platform.mp_mode,
-                strategy=spec.platform.partition_strategy,
-            )
-            m = result.metrics
-            metrics[name] = m.summary()
-            metrics[name]["migrations"] = float(result.migrations)
-            assurance[name] = {
-                task: [tm.met_requirement, tm.released - tm.unfinished]
-                for task, tm in m.per_task.items()
-            }
-        return ReplicationSummary(
-            seed=spec.workload.seed,
-            metrics=metrics,
-            assurance=assurance,
-            requirements={t.name: [t.nu, t.rho] for t in taskset},
-        )
-    from ..sim.runner import simulate
-
-    platform = spec.platform.build()
-    for sched_spec in spec.schedulers:
-        scheduler = sched_spec.build()
-        if scheduler.name in metrics:
-            raise ValueError(f"duplicate scheduler name {scheduler.name!r}")
-        result = simulate(trace, scheduler, platform)
+    for name, result in outcome.results.items():
         m = result.metrics
-        metrics[scheduler.name] = m.summary()
-        assurance[scheduler.name] = {
-            name: [tm.met_requirement, tm.released - tm.unfinished]
-            for name, tm in m.per_task.items()
+        metrics[name] = m.summary()
+        if spec.platform.cores > 1:
+            metrics[name]["migrations"] = float(result.migrations)
+        assurance[name] = {
+            task: [tm.met_requirement, tm.released - tm.unfinished]
+            for task, tm in m.per_task.items()
         }
     return ReplicationSummary(
         seed=spec.workload.seed,
         metrics=metrics,
         assurance=assurance,
-        requirements={t.name: [t.nu, t.rho] for t in taskset},
+        requirements={t.name: [t.nu, t.rho] for t in outcome.taskset},
     )
 
 

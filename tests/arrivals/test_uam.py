@@ -3,14 +3,18 @@
 import pytest
 
 from repro.arrivals import (
+    BurstUAMArrivals,
     UAMError,
     UAMSpec,
-    UAMTracker,
     first_violation,
     is_uam_compliant,
     max_count_in_any_window,
     thin_to_uam,
 )
+from repro.demand import DeterministicDemand
+from repro.runtime import UAMComplianceMonitor, ViolationPolicy
+from repro.sim import Task, TaskSet
+from repro.tuf import StepTUF
 
 
 class TestUAMSpec:
@@ -127,37 +131,35 @@ class TestThinning:
         assert kept == [0.0, 1.0]
 
 
+def _online_gate(a, window):
+    """``admit(t)`` through the runtime's shed-policy UAM monitor."""
+    spec = UAMSpec(a, window)
+    task = Task(
+        "t",
+        StepTUF(height=1.0, deadline=window),
+        DeterministicDemand(1.0),
+        spec,
+        arrivals=BurstUAMArrivals(spec) if a > 1 else None,
+    )
+    monitor = UAMComplianceMonitor(TaskSet([task]), ViolationPolicy.SHED)
+    return lambda t: monitor.check(task, t) is None
+
+
 class TestTracker:
+    """The online gate admits exactly what the window rule allows."""
+
     def test_admits_within_budget(self):
-        tr = UAMTracker(UAMSpec(2, 1.0))
-        assert tr.admit(0.0)
-        assert tr.admit(0.5)
-        assert not tr.admit(0.9)
+        admit = _online_gate(2, 1.0)
+        assert admit(0.0)
+        assert admit(0.5)
+        assert not admit(0.9)
 
     def test_budget_replenishes(self):
-        tr = UAMTracker(UAMSpec(1, 1.0))
-        assert tr.admit(0.0)
-        assert not tr.admit(0.5)
-        assert tr.admit(1.0)
-
-    def test_would_admit_is_pure(self):
-        tr = UAMTracker(UAMSpec(1, 1.0))
-        assert tr.would_admit(0.0)
-        assert tr.would_admit(0.0)  # not recorded
-        assert tr.arrivals_in_current_window == 0
-
-    def test_remaining_budget(self):
-        tr = UAMTracker(UAMSpec(3, 1.0))
-        tr.admit(0.0)
-        assert tr.remaining_budget(0.5) == 2
-        assert tr.remaining_budget(1.5) == 3
-
-    def test_rejects_out_of_order(self):
-        tr = UAMTracker(UAMSpec(1, 1.0))
-        tr.admit(1.0)
-        with pytest.raises(UAMError):
-            tr.would_admit(0.5)
+        admit = _online_gate(1, 1.0)
+        assert admit(0.0)
+        assert not admit(0.5)
+        assert admit(1.0)
 
     def test_simultaneous_arrivals(self):
-        tr = UAMTracker(UAMSpec(3, 1.0))
-        assert [tr.admit(0.0) for _ in range(4)] == [True, True, True, False]
+        admit = _online_gate(3, 1.0)
+        assert [admit(0.0) for _ in range(4)] == [True, True, True, False]

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arrivals import (
+    BurstUAMArrivals,
     UAMSpec,
-    UAMTracker,
     effective_window,
     first_violation,
     is_uam_compliant,
@@ -21,6 +21,10 @@ from repro.arrivals import (
     next_admissible_time,
     thin_to_uam,
 )
+from repro.demand import DeterministicDemand
+from repro.runtime import UAMComplianceMonitor, ViolationPolicy
+from repro.sim import Task, TaskSet
+from repro.tuf import StepTUF
 
 specs = st.builds(
     UAMSpec,
@@ -161,9 +165,16 @@ class TestOnlineOfflineAgreement:
     @given(arrival_lists, specs)
     @settings(max_examples=300)
     def test_thinning_matches_greedy_tracker(self, times, spec):
-        """thin_to_uam's keep rule IS the tracker's admit rule."""
-        tracker = UAMTracker(spec)
-        admitted = [t for t in times if tracker.admit(t)]
+        """thin_to_uam's keep rule IS the runtime monitor's shed rule."""
+        task = Task(
+            "t",
+            StepTUF(height=1.0, deadline=spec.window),
+            DeterministicDemand(1.0),
+            spec,
+            arrivals=BurstUAMArrivals(spec) if spec.max_arrivals > 1 else None,
+        )
+        monitor = UAMComplianceMonitor(TaskSet([task]), ViolationPolicy.SHED)
+        admitted = [t for t in times if monitor.check(task, t) is None]
         assert admitted == thin_to_uam(times, spec)
 
     @given(arrival_lists, specs)

@@ -10,6 +10,7 @@ from repro.experiments import (
     ablate_fopt,
     run_policy_grid,
 )
+from repro.experiments.parallel import SchedulerSpec
 from repro.sched import EDFStatic
 
 
@@ -19,7 +20,7 @@ MINI = dict(seeds=(11,), horizon=1.0)
 class TestPolicyGrid:
     def test_shared_workload_per_seed(self):
         out = run_policy_grid(
-            [lambda: EUAStar(name="A"), lambda: EDFStatic(name="B")],
+            [SchedulerSpec.of(EUAStar, name="A"), SchedulerSpec.of(EDFStatic, name="B")],
             load=0.6,
             seeds=(11, 13),
             horizon=1.0,
@@ -32,7 +33,7 @@ class TestPolicyGrid:
 
     def test_parameters_forwarded(self):
         out = run_policy_grid(
-            [lambda: EUAStar(name="A")],
+            [SchedulerSpec.of(EUAStar, name="A")],
             load=0.5,
             seeds=(11,),
             horizon=1.0,

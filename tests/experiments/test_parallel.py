@@ -4,8 +4,8 @@ The load-bearing property is **determinism under parallelism**: any
 sweep at ``max_workers=4`` must be value-identical to the same sweep at
 ``max_workers=1`` — per-scheduler utility and energy, job statuses, and
 the merged metrics registries.  Plus the plumbing: spec round-trips,
-chunking, the serial fallback, and the lambda guard in the ablation
-grid.
+chunking, the serial fallback, the ablation grid against a direct
+``compare``, and one arm key at any core count.
 """
 
 import warnings
@@ -105,7 +105,6 @@ def test_scheduler_spec_registry_builds_fresh_instances():
     a, b = spec.build(), spec.build()
     assert a is not b
     assert a.name == "EUA*"
-    assert spec.display_name == "EUA*"
 
 
 def test_scheduler_spec_of_carries_kwargs():
@@ -113,7 +112,6 @@ def test_scheduler_spec_of_carries_kwargs():
     sched = spec.build()
     assert sched.name == "noDVS"
     assert sched.use_dvs is False
-    assert spec.display_name == "noDVS"
 
 
 def test_scheduler_spec_empty_is_an_error():
@@ -177,33 +175,41 @@ def _str_each(_shared, chunk):
     return [str(i) for i in chunk]
 
 
-def test_policy_grid_rejects_lambdas_with_workers():
-    from repro.experiments import run_policy_grid
+def test_policy_grid_matches_direct_compare():
+    from repro.experiments import energy_setting, run_policy_grid
 
-    with pytest.raises(ValueError, match="SchedulerSpec"):
-        run_policy_grid(
-            [lambda: EUAStar()], load=0.5, seeds=(11,), horizon=0.2, workers=2
-        )
-
-
-def test_policy_grid_spec_path_matches_legacy_serial():
-    from repro.experiments import run_policy_grid
-
-    legacy = run_policy_grid(
-        [lambda: EUAStar(name="EUA*"), lambda: EDFStatic(name="EDF")],
-        load=0.8,
-        seeds=(11, 13),
-        horizon=0.4,
-    )
-    spec = run_policy_grid(
+    grid = run_policy_grid(
         [SchedulerSpec.of(EUAStar, name="EUA*"), SchedulerSpec.of(EDFStatic, name="EDF")],
         load=0.8,
         seeds=(11, 13),
         horizon=0.4,
     )
-    assert list(legacy) == list(spec)
-    for name in legacy:
-        assert [r.energy for r in legacy[name]] == [r.energy for r in spec[name]]
-        assert [r.metrics.accrued_utility for r in legacy[name]] == [
-            r.metrics.accrued_utility for r in spec[name]
-        ]
+    assert list(grid) == ["EUA*", "EDF"]
+    platform = Platform(energy_model=energy_setting("E1"))
+    for i, seed in enumerate((11, 13)):
+        _taskset, trace = WorkloadSpec(load=0.8, seed=seed, horizon=0.4).build()
+        direct = compare([EUAStar(name="EUA*"), EDFStatic(name="EDF")], trace, platform)
+        for name, result in direct.items():
+            ran = grid[name][i]
+            assert ran.energy == result.energy
+            assert ran.metrics.accrued_utility == result.metrics.accrued_utility
+            assert ran.processor_stats.busy_time == result.processor_stats.busy_time
+            assert [(j.key, j.status, j.completion_time) for j in ran.jobs] == [
+                (j.key, j.status, j.completion_time) for j in result.jobs
+            ]
+
+
+def _arm_keys(spec, cores, mode):
+    unit = CompareUnit(
+        key=(cores,),
+        schedulers=(spec,),
+        workload=WorkloadSpec(load=0.5, seed=11, horizon=0.2, cores=cores),
+        platform=PlatformSpec(cores=cores, mp_mode=mode),
+    )
+    return list(run_units([unit])[0].results)
+
+
+@pytest.mark.parametrize("mode", ["partitioned", "global"])
+def test_arm_key_is_the_same_at_any_core_count(mode):
+    spec = SchedulerSpec.of(EUAStar)  # no name=: the key is the policy's own name
+    assert _arm_keys(spec, 1, mode) == _arm_keys(spec, 2, mode) == ["EUA*"]

@@ -10,11 +10,14 @@ from repro.arrivals import (
     PoissonUAMArrivals,
     ScatteredUAMArrivals,
     UAMSpec,
-    UAMTracker,
     is_uam_compliant,
     max_count_in_any_window,
     thin_to_uam,
 )
+from repro.demand import DeterministicDemand
+from repro.runtime import UAMComplianceMonitor, ViolationPolicy
+from repro.sim import Task, TaskSet
+from repro.tuf import StepTUF
 
 specs = st.builds(
     UAMSpec,
@@ -56,9 +59,16 @@ def test_thinning_idempotent(times, spec):
 @given(time_lists, specs)
 @settings(max_examples=150)
 def test_tracker_matches_thinning(times, spec):
-    """Online admission keeps exactly the greedy thinned subsequence."""
-    tracker = UAMTracker(spec)
-    admitted = [t for t in times if tracker.admit(t)]
+    """The runtime's online gate keeps exactly the greedy thinned subsequence."""
+    task = Task(
+        "t",
+        StepTUF(height=1.0, deadline=spec.window),
+        DeterministicDemand(1.0),
+        spec,
+        arrivals=BurstUAMArrivals(spec) if spec.max_arrivals > 1 else None,
+    )
+    monitor = UAMComplianceMonitor(TaskSet([task]), ViolationPolicy.SHED)
+    admitted = [t for t in times if monitor.check(task, t) is None]
     assert admitted == thin_to_uam(times, spec)
 
 
