@@ -51,6 +51,7 @@ from .experiments import (
     MULTICORE_SCHEDULERS,
     TABLE1,
     TABLE2_NAMES,
+    WorkloadSpec,
     ablate_dasa,
     ablate_dvs,
     ablate_dvs_method,
@@ -59,7 +60,6 @@ from .experiments import (
     check_assurances,
     check_edf_equivalence,
     energy_setting,
-    WorkloadSpec,
     multicore_units,
     run_figure2,
     run_figure3,

@@ -21,7 +21,7 @@ from typing import Dict, List
 from ..analysis import brh_schedulable, is_underload_regime, verify_assurances
 from ..core import EUAStar
 from ..sched import EDFStatic
-from ..sim import JobStatus, Platform, compare
+from ..sim import JobStatus, Platform, compare, simulate
 from .config import DEFAULT_HORIZON, energy_setting
 from .parallel import WorkloadSpec
 
@@ -122,8 +122,6 @@ def check_assurances(
         load, seed, horizon, tuf_shape=tuf_shape, nu=nu, rho=rho, f_max=f_max
     ).build()
     platform = Platform.powernow_k6(energy_setting("E1", f_max))
-    from ..sim import simulate
-
     result = simulate(trace, EUAStar(), platform=platform)
     reports = verify_assurances(result, taskset)
     return {
