@@ -6,7 +6,7 @@ equal utility everywhere, with EUA* alone saving energy at underloads.
 """
 
 from repro.core import EUAStar
-from repro.experiments import ascii_table
+from repro.experiments import SchedulerSpec, ascii_table
 from repro.sched import DASA
 
 from _ablation_common import mean_metric, run_variants
@@ -16,7 +16,7 @@ def _run(seeds, horizon):
     rows = []
     for load in (0.6, 1.5):
         out = run_variants(
-            [lambda: EUAStar(name="EUA*"), lambda: DASA(name="DASA")],
+            [SchedulerSpec.of(EUAStar, name="EUA*"), SchedulerSpec.of(DASA, name="DASA")],
             load=load,
             seeds=seeds,
             horizon=horizon,

@@ -39,9 +39,9 @@ from ..experiments.parallel import (
     PlatformSpec,
     SchedulerSpec,
     WorkloadSpec,
-    _run_compare_unit,
     run_chunked,
     run_sweep,
+    run_units,
 )
 from ..obs import Telemetry
 from .cache import RunCache, run_cache_key
@@ -204,14 +204,13 @@ def _run_replication(spec: ReplicationSpec) -> ReplicationSummary:
     summary carries the extra ``migrations`` scalar (0 in partitioned
     mode, so the field is still comparable across modes).
     """
-    outcome = _run_compare_unit(
-        CompareUnit(
-            key=(spec.workload.seed,),
-            schedulers=spec.schedulers,
-            workload=spec.workload,
-            platform=spec.platform,
-        )
+    unit = CompareUnit(
+        key=(spec.workload.seed,),
+        schedulers=spec.schedulers,
+        workload=spec.workload,
+        platform=spec.platform,
     )
+    outcome = run_units([unit])[0]
     metrics: Dict[str, Dict[str, float]] = {}
     assurance: Dict[str, Dict[str, List[int]]] = {}
     for name, result in outcome.results.items():
