@@ -48,6 +48,11 @@ key                  asserts
                      deterministic DVS method) σ holds every ready job and
                      the head has the earliest critical time
 ===================  ========================================================
+
+The σ rows (``sigma_order`` through ``abort_set``, and
+``edf_equivalence``) re-derive plain Algorithm 1: they skip an EUA*
+subclass that ranks by its own ``_metric`` or filters σ's candidates
+in ``_candidates`` (the ``repro.ext`` policies).
 """
 
 from __future__ import annotations
@@ -271,7 +276,16 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def _check_eua_decision(self, view: SchedulerView, decision: Decision,
                             scheduler) -> None:
-        """Re-derive Algorithm 1 with the naive reference path."""
+        """Re-derive Algorithm 1 with the naive reference path.
+
+        The σ rules (``sigma_order``, ``sigma_feasible``, ``sigma_head``,
+        ``abort_set``, ``edf_equivalence``) re-derive *plain* Algorithm 1,
+        so they apply only to a class that overrides neither the ranking
+        metric (``_metric``) nor the σ candidate filter (``_candidates``);
+        an extension with its own policy there would be flagged for
+        following it.  The remaining rules hold for every EUA*.
+        """
+        from ..core.eua import EUAStar
         from ..core.feasibility import (
             insert_by_critical_time_reference,
             job_feasible_reference,
@@ -293,6 +307,8 @@ class InvariantChecker:
                         "offline_params", t,
                         f"task {name!r}: scheduler params {got} != reference {expected}")
 
+        cls = type(scheduler)
+        plain = cls._metric is EUAStar._metric and cls._candidates is EUAStar._candidates
         expected_aborts: List[Job] = []
         ranked: List[Tuple[float, float, Job]] = []
         for job in view.ready:
@@ -300,6 +316,8 @@ class InvariantChecker:
                 if scheduler.abort_infeasible and job.task.abortable:
                     expected_aborts.append(job)
                 continue
+            if not plain:
+                continue  # no reference σ to build
             # The UER metric, independently coded (see module docstring).
             c = max(job.remaining_budget, MIN_UER_CYCLES)
             utility = job.utility_at(t + c / f_m)
@@ -330,7 +348,7 @@ class InvariantChecker:
             self._violate("sigma_feasible", t, "reconstructed σ infeasible at f_max")
 
         expected_head = sigma[0] if sigma else None
-        if decision.job is not expected_head:
+        if plain and decision.job is not expected_head:
             self._violate(
                 "sigma_head", t,
                 f"dispatched {decision.job.key if decision.job else None} but the "
@@ -340,7 +358,7 @@ class InvariantChecker:
 
         got_aborts = {id(j) for j in decision.aborts}
         want_aborts = {id(j) for j in expected_aborts}
-        if got_aborts != want_aborts:
+        if plain and got_aborts != want_aborts:
             self._violate(
                 "abort_set", t,
                 f"abort set {sorted(j.key for j in decision.aborts)} != individually "

@@ -142,6 +142,7 @@ class EUAStar(Scheduler):
                          reason="individually-infeasible")
                 obs.inc("sigma_rejections", reason="individually-infeasible")
 
+        ranked = self._candidates(view, ranked)
         if self.incremental:
             head = self._build_sigma_incremental(ranked, t, f_m, obs, sp)
         else:
@@ -325,6 +326,17 @@ class EUAStar(Scheduler):
                 if self.strict_insertion_break:
                     break
         return sigma[0] if sigma else None
+
+    def _candidates(
+        self, view: SchedulerView, ranked: List[Tuple[float, float, Job]]
+    ) -> List[Tuple[float, float, Job]]:
+        """The ranked jobs offered to σ construction (all of them here).
+
+        Policy hook between the UER sort and lines 12–18: a subclass
+        may return a filtered copy (``ranked`` is the shared per-event
+        memo, so it must not be changed in place) to keep jobs out of σ.
+        """
+        return ranked
 
     # ------------------------------------------------------------------
     def _metric(self, job: Job, t: float, f_m: float, model: EnergyModel) -> float:

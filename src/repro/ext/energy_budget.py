@@ -19,21 +19,18 @@ pending UER when energy is running behind schedule (``r < h``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
-from ..core.decide_freq import decide_freq
-from ..core.eua import job_uer
-from ..core.feasibility import insert_by_critical_time, job_feasible, schedule_feasible
-from ..core.offline import TaskParams, offline_computing
+from ..core.eua import EUAStar
 from ..cpu import EnergyModel, FrequencyScale
 from ..sim.job import Job
-from ..sim.scheduler import Decision, Scheduler, SchedulerView
+from ..sim.scheduler import SchedulerView
 from ..sim.task import TaskSet
 
 __all__ = ["BudgetedEUA"]
 
 
-class BudgetedEUA(Scheduler):
+class BudgetedEUA(EUAStar):
     """EUA* with a finite energy budget over a mission horizon.
 
     Parameters
@@ -58,16 +55,14 @@ class BudgetedEUA(Scheduler):
             raise ValueError(f"budget must be > 0, got {budget!r}")
         if mission_horizon <= 0.0:
             raise ValueError(f"mission horizon must be > 0, got {mission_horizon!r}")
-        self.name = name
+        super().__init__(name=name, use_fopt_bound=use_fopt_bound)
         self.budget = float(budget)
         self.mission_horizon = float(mission_horizon)
-        self.use_fopt_bound = bool(use_fopt_bound)
-        self._params: Dict[str, TaskParams] = {}
         #: Exposed for tests/benches: count of jobs rejected for energy.
         self.energy_rejections = 0
 
     def setup(self, taskset: TaskSet, scale: FrequencyScale, energy_model: EnergyModel) -> None:
-        self._params = offline_computing(taskset, scale, energy_model)
+        super().setup(taskset, scale, energy_model)
         self.energy_rejections = 0
 
     # ------------------------------------------------------------------
@@ -85,42 +80,17 @@ class BudgetedEUA(Scheduler):
             return 0.0  # green zone: energy ahead of schedule
         return 1.0 - r / h  # yellow zone: selectivity grows with deficit
 
-    # ------------------------------------------------------------------
-    def decide(self, view: SchedulerView) -> Decision:
-        t = view.time
-        f_m = view.scale.f_max
-        model = view.energy_model
-
+    def _candidates(
+        self, view: SchedulerView, ranked: List[Tuple[float, float, Job]]
+    ) -> List[Tuple[float, float, Job]]:
+        """Keep jobs whose UER clears the floor's share of the best UER;
+        each positive-UER job below it counts as an energy rejection."""
         floor = self._admission_floor(view)
-        aborts: List[Job] = []
-        ranked: List[Tuple[float, Job]] = []
-        for job in view.ready:
-            if not job_feasible(job, t, f_m):
-                if job.task.abortable:
-                    aborts.append(job)
-                continue
-            ranked.append((job_uer(job, t, f_m, model), job))
-        ranked.sort(key=lambda e: (-e[0], e[1].critical_time, e[1].release))
-
-        if floor == float("inf") or not ranked:
-            return Decision(job=None, frequency=f_m, aborts=tuple(aborts))
-        best_uer = ranked[0][0]
-        threshold = floor * best_uer
-
-        sigma: List[Job] = []
-        for uer, job in ranked:
-            if uer <= 0.0:
-                break
-            if uer < threshold:
-                self.energy_rejections += 1
-                continue
-            tentative = insert_by_critical_time(sigma, job)
-            if schedule_feasible(tentative, t, f_m):
-                sigma = tentative
-
-        if not sigma:
-            return Decision(job=None, frequency=f_m, aborts=tuple(aborts))
-        head = sigma[0]
-        working_view = view.without(aborts) if aborts else view
-        f_exe = decide_freq(working_view, head, self._params, self.use_fopt_bound)
-        return Decision(job=head, frequency=f_exe, aborts=tuple(aborts))
+        if floor == float("inf"):
+            return []
+        if floor == 0.0 or not ranked:
+            return ranked
+        threshold = floor * ranked[0][0]
+        kept = [e for e in ranked if e[0] >= threshold]
+        self.energy_rejections += sum(1 for e in ranked if 0.0 < e[0] < threshold)
+        return kept

@@ -23,15 +23,12 @@ fast, given the charge trajectory) is the interesting part.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..core.decide_freq import decide_freq
-from ..core.eua import job_uer
-from ..core.feasibility import insert_by_critical_time, job_feasible, schedule_feasible
-from ..core.offline import TaskParams, offline_computing
+from ..core.eua import EUAStar
 from ..cpu import EnergyModel, FrequencyScale, energy_optimal_frequency
 from ..sim.job import Job
-from ..sim.scheduler import Decision, Scheduler, SchedulerView
+from ..sim.scheduler import Decision, SchedulerView
 from ..sim.task import TaskSet
 
 __all__ = ["HarvestProfile", "HarvestingEUA"]
@@ -81,7 +78,7 @@ class HarvestProfile:
         return total
 
 
-class HarvestingEUA(Scheduler):
+class HarvestingEUA(EUAStar):
     """EUA* on a rechargeable battery.
 
     Parameters
@@ -113,7 +110,7 @@ class HarvestingEUA(Scheduler):
             raise ValueError(f"capacity must be > 0, got {capacity!r}")
         if not (0.0 <= reserve_fraction < comfort_fraction <= 1.0):
             raise ValueError("need 0 <= reserve < comfort <= 1")
-        self.name = name
+        super().__init__(name=name)
         self.capacity = float(capacity)
         self.harvest = harvest
         self.initial_charge = capacity if initial_charge is None else float(initial_charge)
@@ -121,13 +118,12 @@ class HarvestingEUA(Scheduler):
             raise ValueError("initial charge must lie within capacity")
         self.reserve_fraction = float(reserve_fraction)
         self.comfort_fraction = float(comfort_fraction)
-        self._params: Dict[str, TaskParams] = {}
         self._f_energy_opt: Optional[float] = None
         #: Diagnostics for benches/tests.
         self.depleted_decisions = 0
 
     def setup(self, taskset: TaskSet, scale: FrequencyScale, energy_model: EnergyModel) -> None:
-        self._params = offline_computing(taskset, scale, energy_model)
+        super().setup(taskset, scale, energy_model)
         self._f_energy_opt = energy_optimal_frequency(energy_model, scale)
         self.depleted_decisions = 0
 
@@ -151,47 +147,36 @@ class HarvestingEUA(Scheduler):
 
     # ------------------------------------------------------------------
     def decide(self, view: SchedulerView) -> Decision:
-        t = view.time
-        f_m = view.scale.f_max
-        model = view.energy_model
-        soc = self.state_of_charge(view)
-        zone = self._zone(soc)
-
-        if zone == "depleted":
+        """Idle (no aborts) when depleted; otherwise EUA* with the
+        conserving zone's selectivity and frequency floor."""
+        if self._zone(self.state_of_charge(view)) == "depleted":
             self.depleted_decisions += 1
-            return Decision(job=None, frequency=f_m)
+            return Decision(job=None, frequency=view.scale.f_max)
+        decision = super().decide(view)
+        if decision.job is None:
+            return decision
+        return Decision(job=decision.job,
+                        frequency=self._conserving_floor(view, decision.frequency),
+                        aborts=decision.aborts)
 
-        aborts: List[Job] = []
-        ranked: List[Tuple[float, Job]] = []
-        for job in view.ready:
-            if not job_feasible(job, t, f_m):
-                if job.task.abortable:
-                    aborts.append(job)
-                continue
-            ranked.append((job_uer(job, t, f_m, model), job))
-        ranked.sort(key=lambda e: (-e[0], e[1].critical_time, e[1].release))
+    def decide_frequency(self, view: SchedulerView, job: Job) -> Optional[float]:
+        return self._conserving_floor(view, super().decide_frequency(view, job))
 
-        if zone == "conserving" and ranked:
-            # Selectivity grows as the charge sinks toward the reserve.
-            span = self.comfort_fraction - self.reserve_fraction
-            deficit = (self.comfort_fraction - soc / self.capacity) / span
-            threshold = deficit * ranked[0][0]
-            ranked = [(u, j) for u, j in ranked if u >= threshold]
+    def _conserving_floor(self, view: SchedulerView, frequency: float) -> float:
+        """Never burn scarce joules below the per-cycle optimum."""
+        if self._zone(self.state_of_charge(view)) == "conserving":
+            return max(frequency, self._f_energy_opt)
+        return frequency
 
-        sigma: List[Job] = []
-        for uer, job in ranked:
-            if uer <= 0.0:
-                break
-            tentative = insert_by_critical_time(sigma, job)
-            if schedule_feasible(tentative, t, f_m):
-                sigma = tentative
-
-        if not sigma:
-            return Decision(job=None, frequency=f_m, aborts=tuple(aborts))
-        head = sigma[0]
-        working = view.without(aborts) if aborts else view
-        f_exe = decide_freq(working, head, self._params, use_fopt_bound=True)
-        if zone == "conserving" and self._f_energy_opt is not None:
-            # Never burn scarce joules below the per-cycle optimum.
-            f_exe = max(f_exe, self._f_energy_opt)
-        return Decision(job=head, frequency=f_exe, aborts=tuple(aborts))
+    def _candidates(
+        self, view: SchedulerView, ranked: List[Tuple[float, float, Job]]
+    ) -> List[Tuple[float, float, Job]]:
+        """In the conserving zone, selectivity grows as the charge sinks
+        toward the reserve."""
+        soc = self.state_of_charge(view)
+        if not ranked or self._zone(soc) != "conserving":
+            return ranked
+        span = self.comfort_fraction - self.reserve_fraction
+        deficit = (self.comfort_fraction - soc / self.capacity) / span
+        threshold = deficit * ranked[0][0]
+        return [e for e in ranked if e[0] >= threshold]
