@@ -276,15 +276,8 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def _check_eua_decision(self, view: SchedulerView, decision: Decision,
                             scheduler) -> None:
-        """Re-derive Algorithm 1 with the naive reference path.
-
-        The σ rules (``sigma_order``, ``sigma_feasible``, ``sigma_head``,
-        ``abort_set``, ``edf_equivalence``) re-derive *plain* Algorithm 1,
-        so they apply only to a class that overrides neither the ranking
-        metric (``_metric``) nor the σ candidate filter (``_candidates``);
-        an extension with its own policy there would be flagged for
-        following it.  The remaining rules hold for every EUA*.
-        """
+        """Re-derive Algorithm 1 with the naive reference path (the σ
+        rows only for plain Algorithm 1; see the module docstring)."""
         from ..core.eua import EUAStar
         from ..core.feasibility import (
             insert_by_critical_time_reference,
