@@ -41,8 +41,9 @@ Both rate computations are implemented twice: an optimized *kernel*
 (the canonical name, used by the hot path) and a straight-line
 ``*_reference`` transliteration of the algorithm.  The kernels rewrite
 the per-call work — the per-task ``(D^a, C^r)`` fold reads the view's
-cached pending groups once instead of re-scanning the ready list per
-task, static rates are priced once per task instead of twice, and the
+pending groups (maintained by the job lifecycle) instead of re-scanning
+the ready list per task, static rates come from rows cached on the task
+set instead of being priced twice per call, and the
 demand kernel enumerates each task's worst-case arrival sequence once
 and counts per deadline point by bisection instead of re-enumerating
 per point — but every float is produced by the same expression in the
@@ -248,30 +249,28 @@ def required_rate_lookahead(view: SchedulerView) -> float:
     from the deferral anchor ``D_n^a``: a task with nothing left to run
     in its window cannot be the binding earliest critical time.
 
-    Kernel notes: one pass over the task set reads the view's cached
-    pending groups and arrival windows directly — inlining
-    ``earliest_critical_time`` / ``remaining_window_cycles`` — and
-    prices each task's static rate ``C_i / D_i`` exactly once (the
-    reference computes the same expression twice, in the utilisation
-    sum and again in the deferral loop; the float is identical either
-    way).  Bit-identical to
+    Kernel notes: one pass over the task set's cached rows
+    (:meth:`~repro.sim.task.TaskSet.dvs_rows`: each task's static
+    parameters, and ``util`` already summed) reads the view's pending
+    map and arrival windows directly, inlining
+    ``earliest_critical_time`` / ``remaining_window_cycles``.  Each
+    static rate ``C_i / D_i`` is priced once per task set instead of
+    twice per call, and the ``max``/``min`` calls of the fold are
+    comparisons that pick the same operand.  Bit-identical to
     :func:`required_rate_lookahead_reference`.
     """
     t = view.time
     f_m = view.scale.f_max
     pending_map = view._pending_map()
     windows = view._arrivals_in_window
-    # One fused pass: util fold (reference's sum()), the (D^a, C^r)
-    # entries, and the deferral anchor D_n over tasks with work left.
-    util = 0.0
+    rows, util = view.taskset.dvs_rows()
+    # One pass: the (D^a, C^r) entries and the deferral anchor D_n over
+    # tasks with work left.
     d_n = math.inf
     entries: List[Tuple[float, float, float]] = []
     append = entries.append
-    for task in view.taskset:
-        # (a_i, c_i, D_i, C_i/D_i, C_i), cached across decisions.
-        a, allocation, d_rel, rate, cap = task.dvs_static()
-        util += rate
-        group = pending_map.get(id(task))
+    for key, name, a, allocation, d_rel, rate, cap in rows:
+        group = pending_map.get(key)
         if group:
             head = group[0]
             d_a = head.critical_time
@@ -285,7 +284,7 @@ def required_rate_lookahead(view: SchedulerView) -> float:
         else:
             d_a = t + d_rel
             work = 0.0
-        recent = windows.get(task.name)
+        recent = windows.get(name)
         unseen = a - (len(recent) if recent is not None else 0)
         if unseen < 0:
             unseen = 0
@@ -317,16 +316,24 @@ def required_rate_lookahead(view: SchedulerView) -> float:
         else:
             # Cycles that *must* run before D_n^a so the task can still
             # finish by d_a given that `util` MHz are consumed by
-            # earlier-critical-time tasks after D_n^a (line 6).
-            headroom = max(0.0, f_m - util)
-            x = min(c_r, max(0.0, c_r - headroom * gap))
+            # earlier-critical-time tasks after D_n^a (line 6):
+            # min(c_r, max(0, c_r - max(0, f_m - util) * gap)).
+            headroom = f_m - util
+            if not headroom > 0.0:
+                headroom = 0.0
+            x = c_r - headroom * gap
+            if not x > 0.0:
+                x = 0.0
+            if not x < c_r:
+                x = c_r
             # The deferred work becomes this task's post-D_n demand (line 7).
             util += (c_r - x) / gap
         s += x
     horizon = d_n - t
     if horizon <= _EPS:
         return f_m
-    return min(f_m, s / horizon)
+    rate = s / horizon
+    return rate if rate < f_m else f_m  # min(f_m, s / horizon)
 
 
 def required_rate_lookahead_reference(view: SchedulerView) -> float:

@@ -9,9 +9,9 @@ charge:
 
 * **surplus** (charge above the comfort band): plain EUA*;
 * **conserving** (inside the band): raise selectivity like
-  :class:`~repro.ext.energy_budget.BudgetedEUA`, and never run below
-  the energy-optimal frequency (wasting scarce joules per cycle is
-  worse when they trickle in);
+  :class:`~repro.ext.energy_budget.BudgetedEUA`.  No frequency floor is
+  needed: EUA*'s ``f°`` bound already keeps every dispatch at or above
+  the energy-optimal frequency (``tests/properties/test_uer_optimal_props.py``);
 * **depleted** (empty battery): idle until the harvest restores the
   reserve threshold.
 
@@ -26,7 +26,7 @@ import bisect
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.eua import EUAStar
-from ..cpu import EnergyModel, FrequencyScale, energy_optimal_frequency
+from ..cpu import EnergyModel, FrequencyScale
 from ..sim.job import Job
 from ..sim.scheduler import Decision, SchedulerView
 from ..sim.task import TaskSet
@@ -118,13 +118,11 @@ class HarvestingEUA(EUAStar):
             raise ValueError("initial charge must lie within capacity")
         self.reserve_fraction = float(reserve_fraction)
         self.comfort_fraction = float(comfort_fraction)
-        self._f_energy_opt: Optional[float] = None
         #: Diagnostics for benches/tests.
         self.depleted_decisions = 0
 
     def setup(self, taskset: TaskSet, scale: FrequencyScale, energy_model: EnergyModel) -> None:
         super().setup(taskset, scale, energy_model)
-        self._f_energy_opt = energy_optimal_frequency(energy_model, scale)
         self.depleted_decisions = 0
 
     # ------------------------------------------------------------------
@@ -148,25 +146,11 @@ class HarvestingEUA(EUAStar):
     # ------------------------------------------------------------------
     def decide(self, view: SchedulerView) -> Decision:
         """Idle (no aborts) when depleted; otherwise EUA* with the
-        conserving zone's selectivity and frequency floor."""
+        conserving zone's selectivity."""
         if self._zone(self.state_of_charge(view)) == "depleted":
             self.depleted_decisions += 1
             return Decision(job=None, frequency=view.scale.f_max)
-        decision = super().decide(view)
-        if decision.job is None:
-            return decision
-        return Decision(job=decision.job,
-                        frequency=self._conserving_floor(view, decision.frequency),
-                        aborts=decision.aborts)
-
-    def decide_frequency(self, view: SchedulerView, job: Job) -> Optional[float]:
-        return self._conserving_floor(view, super().decide_frequency(view, job))
-
-    def _conserving_floor(self, view: SchedulerView, frequency: float) -> float:
-        """Never burn scarce joules below the per-cycle optimum."""
-        if self._zone(self.state_of_charge(view)) == "conserving":
-            return max(frequency, self._f_energy_opt)
-        return frequency
+        return super().decide(view)
 
     def _candidates(
         self, view: SchedulerView, ranked: List[Tuple[float, float, Job]]

@@ -95,7 +95,7 @@ class CCEDF(Scheduler):
     def decide(self, view: SchedulerView) -> Decision:
         total = 0.0
         for task in view.taskset:
-            if view.pending_of(task):
+            if view.head_job_of(task) is not None:
                 total += task.window_cycles / task.critical_time
             else:
                 total += self._idle_rate[task.name]

@@ -51,12 +51,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cpu import Processor, ProcessorStats
 from ..obs import EventKind, Observer
-from .scheduler import ArrivalWindow, Decision, Scheduler, SchedulerView, SchedulingEvent
+from .scheduler import (ArrivalWindow, Decision, Scheduler, SchedulerView, SchedulingEvent,
+                        _pending_key)
 from .job import Job, JobStatus
 from .metrics import Metrics
 from .task import TaskSet
@@ -109,10 +111,15 @@ class JobLifecycle:
     :meth:`view`.  Two drivers call it: :class:`Engine`'s loop and the live
     :class:`~repro.svc.ServiceCore` (``source="svc"``, with a gate-only
     runtime).  Each observer, checker and runtime site is one ``is None`` branch.
+
+    Beside ``ready`` it keeps each task's pending jobs in
+    ``(critical_time, release, index)`` order, updated by the three
+    transitions that change ``ready`` (:meth:`admit`, :meth:`drop`,
+    :meth:`complete`), so no decision regroups the ready list.
     """
 
     __slots__ = ("taskset", "scheduler", "cores", "obs", "checker", "runtime",
-                 "source", "ready", "deferred", "_seq", "_logs", "_windows")
+                 "source", "ready", "deferred", "_seq", "_logs", "_windows", "_pending")
 
     def __init__(self, taskset: TaskSet, scheduler: Scheduler, cores: List[Processor],
                  observer: Optional[Observer] = None,
@@ -126,6 +133,10 @@ class JobLifecycle:
         self.runtime = runtime
         self.source = source
         self.ready: List[Job] = []
+        #: ``id(task)`` -> that task's ready jobs (maybe none), sorted by
+        #: ``_pending_key``.  Each group is a tuple replaced on every
+        #: change, so a view can share it (see :meth:`view`).
+        self._pending: Dict[int, Tuple[Job, ...]] = {}
         #: ``(release, seq, job)`` heap; seq breaks ties (jobs do not compare).
         self.deferred: List[Tuple[float, int, Job]] = []
         self._seq = 0
@@ -160,6 +171,13 @@ class JobLifecycle:
     def admit(self, job: Job, t: float) -> None:
         """Release ``job`` into ``ready`` and its task's arrival log."""
         self.ready.append(job)
+        # The sort key is final here (a deferral sets the release first);
+        # inserting after equal keys matches a stable sort of ``ready``.
+        pending = self._pending
+        key = id(job.task)
+        group = pending.get(key, ())
+        i = bisect_right(group, _pending_key(job), key=_pending_key)
+        pending[key] = group[:i] + (job,) + group[i:]
         log = self._logs[job.task.name]
         log.data.append(job.release)
         log.snap = None
@@ -174,7 +192,14 @@ class JobLifecycle:
         job.status = status
         job.abort_time = t
         if job in self.ready:
-            self.ready.remove(job)
+            self._remove(job)
+
+    def _remove(self, job: Job) -> None:
+        self.ready.remove(job)
+        key = id(job.task)
+        group = self._pending[key]
+        i = group.index(job)
+        self._pending[key] = group[:i] + group[i + 1:]
 
     def defer(self, job: Job) -> None:
         """Hold ``job`` until its granted release instant."""
@@ -223,7 +248,7 @@ class JobLifecycle:
         job.status = JobStatus.COMPLETED
         job.completion_time = t
         job.accrued_utility = job.utility_at(t)
-        self.ready.remove(job)
+        self._remove(job)
         self.scheduler.on_completion(job, t)
         reallocated = self.runtime is not None and self.runtime.on_completion(job, t)
         if self.obs is not None:
@@ -247,9 +272,11 @@ class JobLifecycle:
 
         :class:`SchedulerView` copies the live ``ready`` list, so a
         retained view stays membership-stable after later transitions
-        (the regression suite pins this); the per-task windows are
-        :class:`~repro.sim.scheduler.ArrivalWindow` snapshots over the
-        append-only release logs, equally stable without list copies.
+        (the regression suite pins this); it gets a shallow copy of the
+        pending index, whose groups are never mutated in place, and the
+        per-task windows are :class:`~repro.sim.scheduler.ArrivalWindow`
+        snapshots over the append-only release logs, equally stable
+        without list copies.
         """
         counts: Dict[str, ArrivalWindow] = {}
         for log, name, window in self._windows:
@@ -269,7 +296,7 @@ class JobLifecycle:
         energy = 0.0
         for cpu in cores:
             energy += cpu.stats.total_energy
-        return SchedulerView(
+        view = SchedulerView(
             time=t,
             ready=self.ready,
             taskset=self.taskset,
@@ -280,6 +307,8 @@ class JobLifecycle:
             energy_consumed=energy,
             dvs=dvs,
         )
+        view._pending = self._pending.copy()
+        return view
 
 
 class _CoreObserver:

@@ -15,7 +15,7 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..cpu import EnergyModel, FrequencyScale
 from .job import Job
@@ -131,6 +131,7 @@ class SchedulerView:
         "_arrivals_in_window",
         "energy_consumed",
         "_pending",
+        "_parent",
         "dvs",
         "_memo",
     )
@@ -175,11 +176,15 @@ class SchedulerView:
         #: frequencies separately via :meth:`Scheduler.decide_frequency`
         #: over per-core residual views.
         self.dvs = dvs
-        #: Lazily built ``id(task) -> sorted pending jobs`` cache.  The
-        #: view's ready membership is frozen at construction, so one
-        #: grouping pass serves every ``pending_of``-family query of the
-        #: decision point instead of a scan-and-sort per call.
-        self._pending: Optional[Dict[int, List[Job]]] = None
+        #: ``id(task) -> pending jobs`` in :data:`_pending_key` order.
+        #: :meth:`JobLifecycle.view <repro.sim.engine.JobLifecycle.view>`
+        #: fills it with a copy of its maintained index; otherwise it is
+        #: built on first use (see :meth:`_pending_map`).  The view's
+        #: membership is frozen, so one map serves every query.
+        self._pending: Optional[Dict[int, Sequence[Job]]] = None
+        #: For a :meth:`without` view: the view it came from and the
+        #: jobs it dropped, from which :meth:`_pending_map` derives.
+        self._parent: Optional[Tuple["SchedulerView", Collection[Job]]] = None
         #: Per-event scratch (see :attr:`memo`); ``None`` until asked for.
         self._memo: Optional[dict] = None
 
@@ -205,20 +210,37 @@ class SchedulerView:
         return memo
 
     # ------------------------------------------------------------------
-    def _pending_map(self) -> Dict[int, List[Job]]:
+    def _pending_map(self) -> Dict[int, Sequence[Job]]:
+        """``id(task) -> pending jobs`` in :data:`_pending_key` order.
+
+        A lifecycle view already holds it.  A :meth:`without` view
+        filters its parent's map, touching only the groups of the
+        dropped jobs.  A view built from a bare ready list groups and
+        sorts it once.  A group may be empty.
+        """
         cache = self._pending
         if cache is None:
-            cache = {}
-            for job in self.ready:
-                key = id(job.task)
-                group = cache.get(key)
-                if group is None:
-                    cache[key] = [job]
-                else:
-                    group.append(job)
-            for group in cache.values():
-                if len(group) > 1:
-                    group.sort(key=_pending_key)
+            if self._parent is not None:
+                parent, dropped = self._parent
+                cache = dict(parent._pending_map())
+                for job in dropped:
+                    key = id(job.task)
+                    group = cache.get(key)
+                    if group:
+                        cache[key] = tuple([j for j in group if j is not job])
+                self._parent = None
+            else:
+                cache = {}
+                for job in self.ready:
+                    key = id(job.task)
+                    group = cache.get(key)
+                    if group is None:
+                        cache[key] = [job]
+                    else:
+                        group.append(job)
+                for group in cache.values():
+                    if len(group) > 1:
+                        group.sort(key=_pending_key)
             self._pending = cache
         return cache
 
@@ -315,6 +337,9 @@ class SchedulerView:
             dvs=self.dvs,
         )
         view._memo = self.memo
+        # The pending map is derived from ours only if asked for: the
+        # global engine's selection views never read it.
+        view._parent = (self, dropped)
         return view
 
     def earliest_critical_time(self, task: Task) -> float:

@@ -19,7 +19,7 @@ cached properties: the Chebyshev allocation ``c_i``, the critical time
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..arrivals import ArrivalGenerator, PeriodicArrivals, UAMSpec
 from ..demand import DemandDistribution, chebyshev_allocation
@@ -75,6 +75,11 @@ class Task:
         Whether the exception raised at the termination time aborts the
         job (paper Section 2.2).  Disabled for `-NA` comparisons.
     """
+
+    #: Bumped by every :meth:`reallocate` of any task, so a cache built
+    #: from :meth:`dvs_static` tuples (:meth:`TaskSet.dvs_rows`) can
+    #: tell in one comparison that one of them went stale.
+    _static_epoch = 0
 
     def __init__(
         self,
@@ -193,6 +198,7 @@ class Task:
             raise TaskModelError(f"allocation must be finite and > 0, got {allocation!r}")
         self._allocation = float(allocation)
         self._dvs_static = None
+        Task._static_epoch += 1
 
     # ------------------------------------------------------------------
     def scaled_demand(self, k: float) -> "Task":
@@ -250,6 +256,10 @@ class Task:
 class TaskSet:
     """An ordered collection of uniquely named tasks."""
 
+    #: ``(epoch, rows, util)`` behind :meth:`dvs_rows`; ``None`` until
+    #: first asked for (a class default, so unpickled sets start empty).
+    _dvs_rows: Optional[tuple] = None
+
     def __init__(self, tasks: Iterable[Task]):
         self._tasks: List[Task] = list(tasks)
         names = [t.name for t in self._tasks]
@@ -276,6 +286,33 @@ class TaskSet:
     @property
     def names(self) -> List[str]:
         return [t.name for t in self._tasks]
+
+    def dvs_rows(self) -> Tuple[Tuple[tuple, ...], float]:
+        """``(rows, util)`` for the ``decideFreq`` look-ahead kernel.
+
+        One row ``(id(task), name, a_i, c_i, D_i, C_i/D_i, C_i)`` per
+        task in set order, and ``util``, the ``C_i/D_i`` summed left to
+        right.  Built from :meth:`Task.dvs_static` and rebuilt after any
+        :meth:`Task.reallocate`.  The cache lives on the set, so it dies
+        with it, and it is never pickled or copied (``id(task)`` means
+        nothing in another process).
+        """
+        cached = self._dvs_rows
+        epoch = Task._static_epoch
+        if cached is None or cached[0] != epoch:
+            rows = []
+            util = 0.0
+            for task in self._tasks:
+                static = task.dvs_static()
+                util += static[3]
+                rows.append((id(task), task.name) + static)
+            cached = self._dvs_rows = (epoch, tuple(rows), util)
+        return cached[1], cached[2]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_dvs_rows", None)
+        return state
 
     # ------------------------------------------------------------------
     def load(self, f_max: float) -> float:

@@ -16,6 +16,7 @@ engine actually produces.
 """
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -42,13 +43,16 @@ from repro.demand import DeterministicDemand, NormalDemand
 from repro.experiments import synthesize_taskset
 from repro.mp import GlobalEngine, MulticorePlatform
 from repro.obs import Observer, events_to_jsonl
+from repro.runtime import ViolationPolicy
 from repro.sim import Engine, Job, Platform, Task, TaskSet, materialize
+from repro.sim.engine import EPS_TIME
 from repro.sim.scheduler import (
     ArrivalWindow,
     SchedulerView,
     SchedulingEvent,
     pending_of_reference,
 )
+from repro.svc import ServiceCore
 from repro.tuf import LinearTUF, StepTUF
 
 
@@ -114,15 +118,29 @@ def job_pools(draw):
 # ----------------------------------------------------------------------
 # The capture shim: every decision point of a real run probes the pairs
 # ----------------------------------------------------------------------
+def _assert_pending_matches(view):
+    """The view's pending index (a lifecycle copy, a filtered parent
+    map or one grouping pass) vs the scan-and-sort reference."""
+    for task in view.taskset:
+        group = view.pending_of(task)
+        reference = pending_of_reference(view.ready, task)
+        assert [id(j) for j in group] == [id(j) for j in reference]
+        head = view.head_job_of(task)
+        assert head is (reference[0] if reference else None)
+
+
 class _KernelProbe(EUAStar):
     """EUA* that differentially tests every kernel on each live view
     *before* deciding (the view is a frozen snapshot, but the Job
     objects mutate as the run advances — so the comparison must happen
-    at decision time, not post-hoc)."""
+    at decision time, not post-hoc).  It probes the view the caller
+    hands it, the ``without(aborts)`` view its decideFreq step reads,
+    and, under global dispatch, every per-core residual view."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.probes = 0
+        self.derived = 0
 
     def decide(self, view):
         t = view.time
@@ -135,13 +153,7 @@ class _KernelProbe(EUAStar):
         assert required_rate_demand(view) == \
             required_rate_demand_reference(view)
 
-        # Per-view pending cache vs the scan-and-sort reference.
-        for task in view.taskset:
-            group = view.pending_of(task)
-            reference = pending_of_reference(view.ready, task)
-            assert [id(j) for j in group] == [id(j) for j in reference]
-            head = view.head_job_of(task)
-            assert head is (reference[0] if reference else None)
+        _assert_pending_matches(view)
 
         # Per-job kernels on exactly the jobs EUA* is about to rank.
         for job in view.ready:
@@ -151,7 +163,21 @@ class _KernelProbe(EUAStar):
                 job_uer_reference(job, t, f_m, model)
 
         self.probes += 1
-        return super().decide(view)
+        decision = super().decide(view)
+        if decision.aborts:
+            derived = view.without(decision.aborts)
+            _assert_pending_matches(derived)
+            assert required_rate_lookahead(derived) == \
+                required_rate_lookahead_reference(derived)
+            self.derived += 1
+        return decision
+
+    def decide_frequency(self, view, job):
+        _assert_pending_matches(view)
+        assert required_rate_lookahead(view) == \
+            required_rate_lookahead_reference(view)
+        self.probes += 1
+        return super().decide_frequency(view, job)
 
 
 @given(uam_scenarios())
@@ -164,6 +190,64 @@ def test_kernels_match_references_on_live_views(scenario):
     probe = _KernelProbe()
     Engine(trace, probe, cpu).run()
     assert probe.probes > 0  # the shim actually saw decision points
+
+
+def test_probe_sees_derived_views():
+    """An overloaded burst run makes EUA* abort, so the probe compares
+    the ``without(aborts)`` views too (the property above would pass
+    vacuously on them otherwise)."""
+    rng = np.random.default_rng(3)
+    trace = materialize(synthesize_taskset(1.6, rng), 1.0, rng)
+    probe = _KernelProbe()
+    Engine(trace, probe, Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())).run()
+    assert probe.derived > 0
+
+
+@given(uam_scenarios(non_abortable=True))
+@settings(max_examples=8, deadline=None)
+def test_kernels_match_references_under_global_dispatch(scenario):
+    """At m = 2 the selection calls read chained ``without()`` views
+    and the per-core frequency step reads residual views built from
+    bare ready lists; the index must match the reference on each."""
+    taskset, seed = scenario
+    taskset = taskset.scaled_to_load(taskset.load(1000.0) * 2, 1000.0)
+    trace = materialize(taskset, 0.5, np.random.default_rng(seed))
+    probe = _KernelProbe()
+    platform = MulticorePlatform.from_platform(Platform(), cores=2)
+    GlobalEngine(trace, probe, platform).run()
+    assert probe.probes > 0
+
+
+def test_kernels_match_references_in_a_service_session():
+    """The service drives the same lifecycle through its admission
+    gate (evictions and deferrals included); probe each of its views."""
+    rng = np.random.default_rng(7)
+    trace = materialize(synthesize_taskset(1.2, rng), 1.0, rng)
+    probe = _KernelProbe()
+    core = ServiceCore(trace.taskset, Platform(), probe,
+                       policy=ViolationPolicy.parse("defer"))
+    specs = list(trace)
+    i, t = 0, 0.0
+    while t < trace.horizon - EPS_TIME:
+        core.activate_due(t)
+        while i < len(specs) and specs[i].release <= t + EPS_TIME:
+            core.submit(specs[i].task.name, t, demand=specs[i].demand)
+            i += 1
+        decision = core.decide(t)
+        job = decision.job
+        timer = core.next_timer(t)
+        t_next = min(
+            trace.horizon,
+            specs[i].release if i < len(specs) else math.inf,
+            timer if timer is not None else math.inf,
+            t + job.remaining_demand / decision.frequency if job is not None else math.inf,
+        )
+        t_next = max(t_next, t)
+        core.advance(job, t_next - t, decision.frequency)
+        if job is not None:
+            core.complete_if_done(job, t_next)
+        t = t_next
+    assert probe.probes > 0 and core.counters["completed"] > 0
 
 
 @given(uam_scenarios())
@@ -253,6 +337,68 @@ def test_dvs_static_matches_properties_and_invalidates(window, a, mean,
     task.reallocate(new_alloc)
     assert task.allocation == new_alloc
     assert task.dvs_static() == expected()
+
+
+# ----------------------------------------------------------------------
+# TaskSet.dvs_rows: the look-ahead's cached rows stay true to the tasks
+# ----------------------------------------------------------------------
+def _bursty_view(taskset, time=0.05):
+    """A hand-built view with two jobs of every task pending, one of
+    them partly executed, and one release in each task's window."""
+    ready = []
+    for task in taskset:
+        head = Job(task, 0, 0.0, task.allocation)
+        head.executed = 0.25 * task.allocation
+        ready += [head, Job(task, 1, 0.01, task.allocation)]
+    return SchedulerView(time, ready, taskset, FrequencyScale.powernow_k6(),
+                         EnergyModel.e1(), SchedulingEvent.ARRIVAL,
+                         {task.name: [0.0] for task in taskset})
+
+
+def test_lookahead_rows_follow_reallocate():
+    """``Task.reallocate`` between two calls on one task set: the second
+    call must price the new allocation, not the cached row."""
+    rng = np.random.default_rng(4)
+    taskset = synthesize_taskset(0.9, rng)
+    view = _bursty_view(taskset)
+    before = required_rate_lookahead(view)
+    assert before == required_rate_lookahead_reference(view)
+    task = taskset[0]
+    original = task.allocation
+    task.reallocate(3.0 * original)
+    try:
+        after = required_rate_lookahead(view)
+        assert after == required_rate_lookahead_reference(view)
+        assert after != before  # the reallocation moved the answer
+    finally:
+        task.reallocate(original)
+    assert required_rate_lookahead(view) == before
+
+
+def test_lookahead_rows_survive_pickling():
+    """A task set warmed in-process, then pickled with its trace the way
+    ``run_chunked`` ships its shared payload: the unpickled copy must
+    not reuse rows keyed to the original tasks, so every decision of a
+    run on it still matches the reference and the run equals the
+    original's."""
+    rng = np.random.default_rng(9)
+    taskset = synthesize_taskset(1.2, rng)
+    trace = materialize(taskset, 1.0, rng)
+    assert required_rate_lookahead(_bursty_view(taskset)) == \
+        required_rate_lookahead_reference(_bursty_view(taskset))  # warm
+    copy = pickle.loads(pickle.dumps(trace))
+    assert copy.taskset is not taskset
+
+    def run(workload, policy):
+        cpu = Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())
+        return Engine(workload, policy, cpu).run()
+
+    probe = _KernelProbe()
+    shipped = run(copy, probe)
+    assert probe.probes > 0
+    local = run(trace, EUAStar())
+    assert shipped.energy == local.energy
+    assert shipped.metrics.accrued_utility == local.metrics.accrued_utility
 
 
 # ----------------------------------------------------------------------

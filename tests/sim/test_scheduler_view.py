@@ -211,3 +211,38 @@ class TestReadySnapshotContract:
         view = _view([task], jobs)
         jobs.pop()
         assert len(view.ready) == 2
+
+    def test_retained_view_keeps_its_pending_groups(self):
+        """The lifecycle's pending index changes with every admit,
+        completion and abort; a view taken earlier shares its groups
+        and must still report the decision-time ones."""
+        from repro.cpu import Processor
+        from repro.sched import Decision, EDFStatic
+        from repro.sim import JobStatus
+        from repro.sim.engine import JobLifecycle
+        from repro.sim.scheduler import pending_of_reference
+
+        a, b = _task("A", window=1.0, a=3), _task("B", window=0.5, a=3)
+        cpu = Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())
+        lc = JobLifecycle(TaskSet([a, b]), EDFStatic(), [cpu])
+        jobs = [Job(a, 0, 0.0, 10.0), Job(b, 0, 0.0, 10.0), Job(a, 1, 0.1, 10.0),
+                Job(a, 2, 0.05, 10.0)]
+        for job in jobs:
+            lc.admit(job, job.release)
+        view = lc.view(0.1, SchedulingEvent.ARRIVAL)
+        groups = {task.name: view.pending_of(task) for task in (a, b)}
+        assert [j.index for j in groups["A"]] == [0, 2, 1]
+
+        lc.admit(Job(a, 3, 0.02, 10.0), 0.1)           # lands mid-group
+        lc.complete(jobs[0], 0.2)                      # the head of A
+        lc.apply(Decision(None, cpu.scale.f_max, aborts=(jobs[1],)), 0.2)
+        assert jobs[1].status is JobStatus.ABORTED
+
+        for task in (a, b):
+            assert view.pending_of(task) == groups[task.name]
+        assert view.head_job_of(a) is jobs[0]
+        fresh = lc.view(0.2, SchedulingEvent.COMPLETION)
+        for task in (a, b):
+            assert fresh.pending_of(task) == pending_of_reference(lc.ready, task)
+        assert [j.index for j in fresh.pending_of(a)] == [3, 2, 1]
+        assert fresh.head_job_of(b) is None
