@@ -332,8 +332,8 @@ def required_rate_lookahead(view: SchedulerView) -> float:
     horizon = d_n - t
     if horizon <= _EPS:
         return f_m
-    rate = s / horizon
-    return rate if rate < f_m else f_m  # min(f_m, s / horizon)
+    required = s / horizon
+    return required if required < f_m else f_m  # min(f_m, s / horizon)
 
 
 def required_rate_lookahead_reference(view: SchedulerView) -> float:

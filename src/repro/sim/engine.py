@@ -111,11 +111,6 @@ class JobLifecycle:
     :meth:`view`.  Two drivers call it: :class:`Engine`'s loop and the live
     :class:`~repro.svc.ServiceCore` (``source="svc"``, with a gate-only
     runtime).  Each observer, checker and runtime site is one ``is None`` branch.
-
-    Beside ``ready`` it keeps each task's pending jobs in
-    ``(critical_time, release, index)`` order, updated by the three
-    transitions that change ``ready`` (:meth:`admit`, :meth:`drop`,
-    :meth:`complete`), so no decision regroups the ready list.
     """
 
     __slots__ = ("taskset", "scheduler", "cores", "obs", "checker", "runtime",
@@ -133,9 +128,10 @@ class JobLifecycle:
         self.runtime = runtime
         self.source = source
         self.ready: List[Job] = []
-        #: ``id(task)`` -> that task's ready jobs (maybe none), sorted by
-        #: ``_pending_key``.  Each group is a tuple replaced on every
-        #: change, so a view can share it (see :meth:`view`).
+        #: ``id(task)`` -> that task's ready jobs (maybe none) sorted by
+        #: ``_pending_key``, kept by :meth:`admit`, :meth:`drop` and
+        #: :meth:`complete` so no decision regroups ``ready``.  Each
+        #: group is a tuple replaced on every change, so views share it.
         self._pending: Dict[int, Tuple[Job, ...]] = {}
         #: ``(release, seq, job)`` heap; seq breaks ties (jobs do not compare).
         self.deferred: List[Tuple[float, int, Job]] = []

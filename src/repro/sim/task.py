@@ -76,9 +76,8 @@ class Task:
         job (paper Section 2.2).  Disabled for `-NA` comparisons.
     """
 
-    #: Bumped by every :meth:`reallocate` of any task, so a cache built
-    #: from :meth:`dvs_static` tuples (:meth:`TaskSet.dvs_rows`) can
-    #: tell in one comparison that one of them went stale.
+    #: Bumped by every :meth:`reallocate`: :meth:`TaskSet.dvs_rows`
+    #: rebuilds when it moved.
     _static_epoch = 0
 
     def __init__(
@@ -256,8 +255,7 @@ class Task:
 class TaskSet:
     """An ordered collection of uniquely named tasks."""
 
-    #: ``(epoch, rows, util)`` behind :meth:`dvs_rows`; ``None`` until
-    #: first asked for (a class default, so unpickled sets start empty).
+    #: ``(epoch, rows, util)`` behind :meth:`dvs_rows`.
     _dvs_rows: Optional[tuple] = None
 
     def __init__(self, tasks: Iterable[Task]):
@@ -288,15 +286,11 @@ class TaskSet:
         return [t.name for t in self._tasks]
 
     def dvs_rows(self) -> Tuple[Tuple[tuple, ...], float]:
-        """``(rows, util)`` for the ``decideFreq`` look-ahead kernel.
-
-        One row ``(id(task), name, a_i, c_i, D_i, C_i/D_i, C_i)`` per
-        task in set order, and ``util``, the ``C_i/D_i`` summed left to
-        right.  Built from :meth:`Task.dvs_static` and rebuilt after any
-        :meth:`Task.reallocate`.  The cache lives on the set, so it dies
-        with it, and it is never pickled or copied (``id(task)`` means
-        nothing in another process).
-        """
+        """``(rows, util)`` for the ``decideFreq`` look-ahead kernel:
+        ``(id(task), name) + task.dvs_static()`` per task in set order,
+        and the ``C_i/D_i`` summed left to right.  Cached on the set
+        until any :meth:`Task.reallocate`; never pickled or copied
+        (``id(task)`` means nothing in another process)."""
         cached = self._dvs_rows
         epoch = Task._static_epoch
         if cached is None or cached[0] != epoch:
