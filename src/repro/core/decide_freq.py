@@ -42,8 +42,8 @@ Both rate computations are implemented twice: an optimized *kernel*
 ``*_reference`` transliteration of the algorithm.  The kernels rewrite
 the per-call work — the per-task ``(D^a, C^r)`` fold reads the view's
 pending groups (maintained by the job lifecycle) instead of re-scanning
-the ready list per task, static rates come from rows cached on the task
-set instead of being priced twice per call, and the
+the ready list per task, static rates are priced once per task instead
+of twice, and the
 demand kernel enumerates each task's worst-case arrival sequence once
 and counts per deadline point by bisection instead of re-enumerating
 per point — but every float is produced by the same expression in the
@@ -249,28 +249,32 @@ def required_rate_lookahead(view: SchedulerView) -> float:
     from the deferral anchor ``D_n^a``: a task with nothing left to run
     in its window cannot be the binding earliest critical time.
 
-    Kernel notes: one pass over the task set's cached rows
-    (:meth:`~repro.sim.task.TaskSet.dvs_rows`: each task's static
-    parameters, and ``util`` already summed) reads the view's pending
-    map and arrival windows directly, inlining
-    ``earliest_critical_time`` / ``remaining_window_cycles``.  Each
-    static rate ``C_i / D_i`` is priced once per task set instead of
-    twice per call, and the ``max``/``min`` calls of the fold are
-    comparisons that pick the same operand.  Bit-identical to
+    Kernel notes: one pass over the task set reads the view's pending
+    map and arrival windows directly — inlining
+    ``earliest_critical_time`` / ``remaining_window_cycles`` — and
+    takes each task's static rate ``C_i / D_i`` from its cached
+    :meth:`~repro.sim.task.Task.dvs_static` once (the reference
+    computes it twice, in the utilisation sum and again in the
+    deferral loop; the float is identical either way).  The
+    ``max``/``min`` calls of the fold are comparisons that pick the
+    same operand.  Bit-identical to
     :func:`required_rate_lookahead_reference`.
     """
     t = view.time
     f_m = view.scale.f_max
     pending_map = view._pending_map()
     windows = view._arrivals_in_window
-    rows, util = view.taskset.dvs_rows()
-    # One pass: the (D^a, C^r) entries and the deferral anchor D_n over
-    # tasks with work left.
+    # One fused pass: util fold (reference's sum()), the (D^a, C^r)
+    # entries, and the deferral anchor D_n over tasks with work left.
+    util = 0.0
     d_n = math.inf
     entries: List[Tuple[float, float, float]] = []
     append = entries.append
-    for key, name, a, allocation, d_rel, rate, cap in rows:
-        group = pending_map.get(key)
+    for task in view.taskset:
+        # (a_i, c_i, D_i, C_i/D_i, C_i), cached across decisions.
+        a, allocation, d_rel, rate, cap = task.dvs_static()
+        util += rate
+        group = pending_map.get(id(task))
         if group:
             head = group[0]
             d_a = head.critical_time
@@ -284,7 +288,7 @@ def required_rate_lookahead(view: SchedulerView) -> float:
         else:
             d_a = t + d_rel
             work = 0.0
-        recent = windows.get(name)
+        recent = windows.get(task.name)
         unseen = a - (len(recent) if recent is not None else 0)
         if unseen < 0:
             unseen = 0

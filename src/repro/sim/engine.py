@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -169,10 +168,14 @@ class JobLifecycle:
         self.ready.append(job)
         # The sort key is final here (a deferral sets the release first);
         # inserting after equal keys matches a stable sort of ``ready``.
+        # Releases mostly come in key order, so the scan rarely moves.
         pending = self._pending
         key = id(job.task)
         group = pending.get(key, ())
-        i = bisect_right(group, _pending_key(job), key=_pending_key)
+        k = _pending_key(job)
+        i = len(group)
+        while i and _pending_key(group[i - 1]) > k:
+            i -= 1
         pending[key] = group[:i] + (job,) + group[i:]
         log = self._logs[job.task.name]
         log.data.append(job.release)

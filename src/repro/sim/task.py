@@ -19,7 +19,7 @@ cached properties: the Chebyshev allocation ``c_i``, the critical time
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..arrivals import ArrivalGenerator, PeriodicArrivals, UAMSpec
 from ..demand import DemandDistribution, chebyshev_allocation
@@ -75,10 +75,6 @@ class Task:
         Whether the exception raised at the termination time aborts the
         job (paper Section 2.2).  Disabled for `-NA` comparisons.
     """
-
-    #: Bumped by every :meth:`reallocate`: :meth:`TaskSet.dvs_rows`
-    #: rebuilds when it moved.
-    _static_epoch = 0
 
     def __init__(
         self,
@@ -197,7 +193,6 @@ class Task:
             raise TaskModelError(f"allocation must be finite and > 0, got {allocation!r}")
         self._allocation = float(allocation)
         self._dvs_static = None
-        Task._static_epoch += 1
 
     # ------------------------------------------------------------------
     def scaled_demand(self, k: float) -> "Task":
@@ -255,9 +250,6 @@ class Task:
 class TaskSet:
     """An ordered collection of uniquely named tasks."""
 
-    #: ``(epoch, rows, util)`` behind :meth:`dvs_rows`.
-    _dvs_rows: Optional[tuple] = None
-
     def __init__(self, tasks: Iterable[Task]):
         self._tasks: List[Task] = list(tasks)
         names = [t.name for t in self._tasks]
@@ -284,29 +276,6 @@ class TaskSet:
     @property
     def names(self) -> List[str]:
         return [t.name for t in self._tasks]
-
-    def dvs_rows(self) -> Tuple[Tuple[tuple, ...], float]:
-        """``(rows, util)`` for the ``decideFreq`` look-ahead kernel:
-        ``(id(task), name) + task.dvs_static()`` per task in set order,
-        and the ``C_i/D_i`` summed left to right.  Cached on the set
-        until any :meth:`Task.reallocate`; never pickled or copied
-        (``id(task)`` means nothing in another process)."""
-        cached = self._dvs_rows
-        epoch = Task._static_epoch
-        if cached is None or cached[0] != epoch:
-            rows = []
-            util = 0.0
-            for task in self._tasks:
-                static = task.dvs_static()
-                util += static[3]
-                rows.append((id(task), task.name) + static)
-            cached = self._dvs_rows = (epoch, tuple(rows), util)
-        return cached[1], cached[2]
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_dvs_rows", None)
-        return state
 
     # ------------------------------------------------------------------
     def load(self, f_max: float) -> float:

@@ -16,7 +16,6 @@ engine actually produces.
 """
 
 import math
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -337,68 +336,6 @@ def test_dvs_static_matches_properties_and_invalidates(window, a, mean,
     task.reallocate(new_alloc)
     assert task.allocation == new_alloc
     assert task.dvs_static() == expected()
-
-
-# ----------------------------------------------------------------------
-# TaskSet.dvs_rows: the look-ahead's cached rows stay true to the tasks
-# ----------------------------------------------------------------------
-def _bursty_view(taskset, time=0.05):
-    """A hand-built view with two jobs of every task pending, one of
-    them partly executed, and one release in each task's window."""
-    ready = []
-    for task in taskset:
-        head = Job(task, 0, 0.0, task.allocation)
-        head.executed = 0.25 * task.allocation
-        ready += [head, Job(task, 1, 0.01, task.allocation)]
-    return SchedulerView(time, ready, taskset, FrequencyScale.powernow_k6(),
-                         EnergyModel.e1(), SchedulingEvent.ARRIVAL,
-                         {task.name: [0.0] for task in taskset})
-
-
-def test_lookahead_rows_follow_reallocate():
-    """``Task.reallocate`` between two calls on one task set: the second
-    call must price the new allocation, not the cached row."""
-    rng = np.random.default_rng(4)
-    taskset = synthesize_taskset(0.9, rng)
-    view = _bursty_view(taskset)
-    before = required_rate_lookahead(view)
-    assert before == required_rate_lookahead_reference(view)
-    task = taskset[0]
-    original = task.allocation
-    task.reallocate(3.0 * original)
-    try:
-        after = required_rate_lookahead(view)
-        assert after == required_rate_lookahead_reference(view)
-        assert after != before  # the reallocation moved the answer
-    finally:
-        task.reallocate(original)
-    assert required_rate_lookahead(view) == before
-
-
-def test_lookahead_rows_survive_pickling():
-    """A task set warmed in-process, then pickled with its trace the way
-    ``run_chunked`` ships its shared payload: the unpickled copy must
-    not reuse rows keyed to the original tasks, so every decision of a
-    run on it still matches the reference and the run equals the
-    original's."""
-    rng = np.random.default_rng(9)
-    taskset = synthesize_taskset(1.2, rng)
-    trace = materialize(taskset, 1.0, rng)
-    assert required_rate_lookahead(_bursty_view(taskset)) == \
-        required_rate_lookahead_reference(_bursty_view(taskset))  # warm
-    copy = pickle.loads(pickle.dumps(trace))
-    assert copy.taskset is not taskset
-
-    def run(workload, policy):
-        cpu = Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())
-        return Engine(workload, policy, cpu).run()
-
-    probe = _KernelProbe()
-    shipped = run(copy, probe)
-    assert probe.probes > 0
-    local = run(trace, EUAStar())
-    assert shipped.energy == local.energy
-    assert shipped.metrics.accrued_utility == local.metrics.accrued_utility
 
 
 # ----------------------------------------------------------------------
