@@ -36,10 +36,10 @@ from repro.tuf import StepTUF
 ROUNDS = 9
 HORIZON = 2.0
 LOAD = 1.1  # overload: the scheduler (the guard-heaviest path) runs hot
-#: Independent branch-cost measurements, interleaved with the timed
-#: rounds; the bound uses their median so one descheduled measurement
-#: cannot flake the assertion.
-BRANCH_SAMPLES = 3
+#: Independent branch-cost measurements, one per timed round; the bound
+#: uses their median so a few descheduled measurements cannot flake the
+#: assertion.
+BRANCH_SAMPLES = ROUNDS
 
 
 def _taskset():
@@ -112,10 +112,9 @@ def _run():
         assert seen.energy == bare.energy
         if base is None:
             base = obs  # representative run for the analytic bound
-        if len(branch_costs) < BRANCH_SAMPLES:
-            # Interleaved with the timed pairs, so scheduler noise that
-            # hits one measurement hits the runs around it too.
-            branch_costs.append(_branch_cost())
+        # Interleaved with the timed pairs, so scheduler noise that hits
+        # one measurement hits the runs around it too.
+        branch_costs.append(_branch_cost())
 
     t_disabled = statistics.median(disabled)
     t_enabled = statistics.median(enabled)

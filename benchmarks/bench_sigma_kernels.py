@@ -13,6 +13,11 @@ deterministic burst-overload ready set and times, in µs per operation
 * ``construct_reference`` — the same construction with the naive
   copy-and-rewalk oracle (``insert_by_critical_time_reference`` +
   ``schedule_feasible_reference``);
+* ``construct_head`` — the head-only construction an unobserved EUA*
+  runs: the incremental walk through ``IncrementalSchedule.until_settled``,
+  which stops once no candidate left can land before σ's head (the
+  probes it makes are printed as ``settled probes`` beside ``probes``,
+  the full walk's count);
 * ``probe`` — one ``try_insert``: the middle candidate of the UER
   order probed against σ built from all earlier candidates (its suffix
   length and verdict are printed beside it: a probe rejected on the
@@ -24,7 +29,7 @@ deterministic burst-overload ready set and times, in µs per operation
   residual views; the engine's own views copy the job lifecycle's
   pending index instead).
 
-Beside the timings it prints the deterministic shape of the
+Beside the timings it prints the deterministic shape of the full
 construction: mean σ length at probe time, mean suffix length (σ
 entries at or after the candidate's insertion point, the part a probe
 re-folds) and the accept ratio.  ``BENCH_sigma_kernels.json`` has no
@@ -131,6 +136,17 @@ def build_incremental(jobs: Sequence[Job], now: float, f_max: float) -> Incremen
     return sigma
 
 
+def build_head_only(entries: Sequence[Tuple[float, float, Job]], now: float,
+                    f_max: float) -> Tuple[IncrementalSchedule, int]:
+    """σ built until its head is settled, and the probes that took."""
+    sigma = IncrementalSchedule(now, f_max)
+    probes = 0
+    for _, _, job in sigma.until_settled(entries):
+        sigma.try_insert(job)
+        probes += 1
+    return sigma, probes
+
+
 def build_reference(jobs: Sequence[Job], now: float, f_max: float) -> List[Job]:
     sigma: List[Job] = []
     for job in jobs:
@@ -188,6 +204,9 @@ def bench_size(n: int) -> Dict[str, float]:
     sigma_len, suffix_len, accept = construction_shape(ranked, now, f_max)
     assert [j.key for j in build_incremental(ranked, now, f_max)] == \
         [j.key for j in build_reference(ranked, now, f_max)]
+    entries = [(0.0, job.critical_time, job) for job in ranked]
+    head_only, settled = build_head_only(entries, now, f_max)
+    assert head_only.head is build_incremental(ranked, now, f_max).head
     middle = len(ranked) // 2
     earlier, probe = ranked[:middle], ranked[middle]
     before = build_incremental(earlier, now, f_max)
@@ -195,6 +214,7 @@ def bench_size(n: int) -> Dict[str, float]:
     return {
         "construct_incremental_us": time_call(lambda: build_incremental(ranked, now, f_max)),
         "construct_reference_us": time_call(lambda: build_reference(ranked, now, f_max)),
+        "construct_head_us": time_call(lambda: build_head_only(entries, now, f_max)),
         "probe_us": time_fresh(lambda: build_incremental(earlier, now, f_max),
                                lambda sigma: sigma.try_insert(probe)),
         "probe_suffix": float(len(crit) - bisect_right(crit, probe.critical_time)),
@@ -202,6 +222,7 @@ def bench_size(n: int) -> Dict[str, float]:
         "lookahead_us": time_fresh(lambda: bare_copy(view), required_rate_lookahead),
         "demand_us": time_fresh(lambda: bare_copy(view), required_rate_demand),
         "probes": float(len(ranked)),
+        "settled_probes": float(settled),
         "sigma_len_mean": sigma_len,
         "suffix_len_mean": suffix_len,
         "accept_ratio": accept,
@@ -209,12 +230,13 @@ def bench_size(n: int) -> Dict[str, float]:
 
 
 def main() -> int:
-    columns = ("construct_incremental_us", "construct_reference_us", "probe_us",
-               "probe_suffix", "probe_accepted", "lookahead_us", "demand_us", "probes",
-               "sigma_len_mean", "suffix_len_mean", "accept_ratio")
-    header = ("n", "sigma inc us", "sigma ref us", "probe us", "probe suffix", "accepted",
-              "lookahead us", "demand us", "probes", "mean |sigma|", "mean suffix",
-              "accept")
+    columns = ("construct_incremental_us", "construct_reference_us", "construct_head_us",
+               "probe_us", "probe_suffix", "probe_accepted", "lookahead_us", "demand_us",
+               "probes", "settled_probes", "sigma_len_mean", "suffix_len_mean",
+               "accept_ratio")
+    header = ("n", "sigma inc us", "sigma ref us", "head only us", "probe us",
+              "probe suffix", "accepted", "lookahead us", "demand us", "probes",
+              "settled probes", "mean |sigma|", "mean suffix", "accept")
     print("  ".join(f"{h:>12}" for h in header))
     metrics: Dict[str, float] = {}
     for n in SIZES:

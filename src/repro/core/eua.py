@@ -253,11 +253,11 @@ class EUAStar(Scheduler):
         """Lines 12–18 on the :class:`IncrementalSchedule` hot path.
 
         Returns the head of σ (``None`` when σ stays empty).  Emits the
-        same observability events, in the same order, as the reference
-        builder.
+        same events, in the same order, as the reference builder; with
+        no event or metric sink it stops once the head is settled.
         """
         sigma = IncrementalSchedule(t, f_m)
-        for i, (metric, _, job) in enumerate(ranked):
+        for i, (metric, _, job) in enumerate(sigma.until_settled(ranked, obs)):
             if metric <= 0.0:
                 if obs is not None:
                     for m, _, late in ranked[i:]:

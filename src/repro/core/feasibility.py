@@ -32,7 +32,8 @@ Two implementations live here:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ..sim.job import Job
 
@@ -189,11 +190,12 @@ class IncrementalSchedule:
     during which the engine advances nothing.
 
     A probe that fails on the candidate's own completion costs O(log n);
-    an accepted or suffix-failing probe also re-folds the suffix.  The
-    suffix is not typically empty: on the burst-overload workload (UAM
-    bursts at load 1.6, n≈92 ready jobs) σ holds 47 jobs and a probe
-    re-folds 15 of them on average, so the suffix loop, not the
-    bisection, is what a probe costs — hence the plain-float arrays.
+    an accepted or suffix-failing probe also re-folds the suffix.  Callers
+    that dispatch only σ's head walk their candidates through
+    :meth:`until_settled`: on the burst-overload workload (UAM bursts at
+    load 1.6, n≈92 ready jobs) a decision then makes 22 probes, not 90,
+    on a σ of 31 jobs, re-folding 12 — the suffix loop, not the
+    bisection, is what a probe costs, hence the plain-float arrays.
     """
 
     __slots__ = ("now", "f_max", "_jobs", "_crit", "_completions", "_durs", "_thrs")
@@ -268,3 +270,26 @@ class IncrementalSchedule:
         thrs.insert(pos, thr)
         completions[pos:] = suffix
         return pos
+
+    def until_settled(self, ranked: Sequence[tuple], obs=None) -> Iterable[tuple]:
+        """``ranked``'s ``(metric, critical_time, job)`` entries to probe,
+        in order; the caller probes each before it takes the next.
+
+        A candidate whose critical time is at least σ's head's bisects
+        behind the head or is rejected, so the walk ends once the earliest
+        critical time left in ``ranked`` is no earlier than the head's.
+        An ``obs`` recording events or metrics gets every entry, as each
+        one's INSERT or REJECT is on its record (spans record none).
+        """
+        if obs is not None and (obs.events is not None or obs.metrics is not None):
+            return ranked
+        return self._settle(ranked, list(accumulate((e[1] for e in reversed(ranked)), min))[::-1])
+
+    def _settle(self, ranked: Sequence[tuple], floors: List[float]) -> Iterator[tuple]:
+        """Yield ``ranked[i]`` while ``floors[i]``, the earliest critical
+        time in ``ranked[i:]``, is before σ's head's (or σ is empty)."""
+        crit = self._crit
+        for entry, floor in zip(ranked, floors):
+            if crit and floor >= crit[0]:
+                return
+            yield entry

@@ -87,7 +87,7 @@ class DASA(Scheduler):
         ranked.sort(key=lambda e: (-e[0], e[1], e[2].release, e[2].index))
 
         sigma = IncrementalSchedule(t, f_max)
-        for pud, _, job in ranked:
+        for pud, _, job in sigma.until_settled(ranked, obs):  # only the head is dispatched
             if pud <= 0.0:
                 break
             if sigma.try_insert(job) >= 0:
