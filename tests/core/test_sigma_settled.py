@@ -14,6 +14,8 @@ of probes equals the first point at which the head is settled — no
 earlier (a wrong head) and no later (a wasted probe).
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,9 +74,9 @@ def _ready(sched, tasks, observed=False):
     return sched
 
 
-@pytest.fixture
-def probes(monkeypatch):
-    """Counts ``IncrementalSchedule.try_insert`` calls."""
+@contextmanager
+def _counted_probes():
+    """Records every ``IncrementalSchedule.try_insert`` call's job."""
     calls = []
     original = IncrementalSchedule.try_insert
 
@@ -82,8 +84,17 @@ def probes(monkeypatch):
         calls.append(job)
         return original(self, job)
 
-    monkeypatch.setattr(IncrementalSchedule, "try_insert", counting)
-    return calls
+    IncrementalSchedule.try_insert = counting
+    try:
+        yield calls
+    finally:
+        IncrementalSchedule.try_insert = original
+
+
+@pytest.fixture
+def probes():
+    with _counted_probes() as calls:
+        yield calls
 
 
 def _key(decision):
@@ -247,22 +258,13 @@ def ready_sets(draw):
 @given(ready_sets(), st.booleans())
 def test_unobserved_eua_matches_full_walk_and_reference(scenario, strict):
     tasks, jobs, now = scenario
-    calls = []
-    original = IncrementalSchedule.try_insert
-
-    def counting(self, job):
-        calls.append(job)
-        return original(self, job)
 
     def make():
         return EUAStar(strict_insertion_break=strict)
 
-    IncrementalSchedule.try_insert = counting
-    try:
+    with _counted_probes() as calls:
         plain = _decide(make, tasks, jobs, time=now)
-        n = len(calls)
-    finally:
-        IncrementalSchedule.try_insert = original
+    n = len(calls)
     observed = _decide(make, tasks, jobs, observed=True, time=now)
     reference = _decide(make, tasks, jobs, incremental=False, time=now)
     assert _key(plain) == _key(observed) == _key(reference)
