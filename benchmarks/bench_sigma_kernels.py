@@ -11,7 +11,7 @@ deterministic burst-overload ready set and times, in µs per operation
 * ``construct_incremental`` — EUA*'s σ construction (Algorithm 1, lines
   12–18) on :class:`~repro.core.IncrementalSchedule`;
 * ``construct_reference`` — the same construction with the naive
-  copy-and-rewalk oracle (``insert_by_critical_time_reference`` +
+  copy-and-rewalk oracle (``insert_by_critical_time`` +
   ``schedule_feasible_reference``);
 * ``construct_head`` — the head-only construction an unobserved EUA*
   runs: the incremental walk through ``IncrementalSchedule.until_settled``,
@@ -58,7 +58,7 @@ import numpy as np  # noqa: E402
 from _artifacts import write_bench_artifact  # noqa: E402
 from repro.core import (  # noqa: E402
     IncrementalSchedule,
-    insert_by_critical_time_reference,
+    insert_by_critical_time,
     job_feasible,
     job_uer,
     required_rate_demand,
@@ -150,7 +150,7 @@ def build_head_only(entries: Sequence[Tuple[float, float, Job]], now: float,
 def build_reference(jobs: Sequence[Job], now: float, f_max: float) -> List[Job]:
     sigma: List[Job] = []
     for job in jobs:
-        tentative = insert_by_critical_time_reference(sigma, job)
+        tentative = insert_by_critical_time(sigma, job)
         if schedule_feasible_reference(tentative, now, f_max):
             sigma = tentative
     return sigma

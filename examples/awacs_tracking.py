@@ -12,7 +12,7 @@ The paper motivates TUF scheduling with two defense applications:
   ``t_f`` earns ``Uc_max``, within ``2·t_f`` only the lower maintenance
   utility ``Um_max``.
 
-This example builds both TUF shapes exactly, adds a radar-frame
+This example builds both TUFs from :mod:`repro.tuf.catalog`, adds a radar-frame
 housekeeping task, and runs an overloaded engagement (a burst of track
 activity under UAM) under EUA* versus plain EDF — showing the utility
 accrual advantage that motivates the paper.
@@ -25,9 +25,7 @@ from repro import (
     EDFStatic,
     EnergyModel,
     EUAStar,
-    MultiStepTUF,
     NormalDemand,
-    PiecewiseLinearTUF,
     Platform,
     StepTUF,
     Task,
@@ -36,6 +34,7 @@ from repro import (
     compare,
     materialize,
 )
+from repro.tuf import plot_correlation, track_association
 
 #: Sensor revisit time for the surveillance radar (seconds).
 T_C = 0.10
@@ -50,11 +49,9 @@ def build_scenario(intensity: float) -> TaskSet:
     association bursts alone — a genuine overload).
     """
     # Fig 1(a): full utility 50 until t_c, linear decay to 0 at 2 t_c.
-    track_association_tuf = PiecewiseLinearTUF(
-        [(0.0, 50.0), (T_C, 50.0), (2.0 * T_C, 0.0)]
-    )
+    track_association_tuf = track_association(50.0, T_C)
     # Fig 1(b): Uc_max = 30 until t_f, Um_max = 12 until 2 t_f.
-    plot_correlation_tuf = MultiStepTUF([(T_F, 30.0), (2.0 * T_F, 12.0)])
+    plot_correlation_tuf = plot_correlation(30.0, 12.0, T_F)
     # A periodic radar frame-processing task with a hard per-frame deadline.
     frame_tuf = StepTUF(height=8.0, deadline=0.040)
 

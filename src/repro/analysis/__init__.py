@@ -14,7 +14,6 @@ from .assurance import (
     wilson_interval,
     wilson_lower_bound,
 )
-from .lateness import LatenessStats, lateness_stats, max_lateness, per_task_lateness
 from .lower_bound import (
     YDSJob,
     YDSSchedule,
@@ -66,10 +65,6 @@ __all__ = [
     "normalize_energy",
     "normalize_utility",
     "normalized_series",
-    "LatenessStats",
-    "lateness_stats",
-    "per_task_lateness",
-    "max_lateness",
     "YDSJob",
     "YDSSchedule",
     "yds_schedule",

@@ -51,8 +51,8 @@ key                  asserts
 
 The σ rows (``sigma_order`` through ``abort_set``, and
 ``edf_equivalence``) re-derive plain Algorithm 1: they skip an EUA*
-subclass that ranks by its own ``_metric`` or filters σ's candidates
-in ``_candidates`` (the ``repro.ext`` policies).
+subclass that filters σ's candidates in ``_candidates`` (the
+``repro.ext`` policy).
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ class InvariantChecker:
         rows only for plain Algorithm 1; see the module docstring)."""
         from ..core.eua import EUAStar
         from ..core.feasibility import (
-            insert_by_critical_time_reference,
+            insert_by_critical_time,
             job_feasible_reference,
             schedule_feasible_reference,
         )
@@ -301,7 +301,7 @@ class InvariantChecker:
                         f"task {name!r}: scheduler params {got} != reference {expected}")
 
         cls = type(scheduler)
-        plain = cls._metric is EUAStar._metric and cls._candidates is EUAStar._candidates
+        plain = cls._candidates is EUAStar._candidates
         expected_aborts: List[Job] = []
         ranked: List[Tuple[float, float, Job]] = []
         for job in view.ready:
@@ -325,7 +325,7 @@ class InvariantChecker:
         for metric, _, job in ranked:
             if metric <= 0.0:
                 break
-            tentative = insert_by_critical_time_reference(sigma, job)
+            tentative = insert_by_critical_time(sigma, job)
             if schedule_feasible_reference(tentative, t, f_m):
                 sigma = tentative
             elif scheduler.strict_insertion_break:

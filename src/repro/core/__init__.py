@@ -13,7 +13,6 @@ from .eua import EUAStar, job_uer, job_uer_reference
 from .feasibility import (
     IncrementalSchedule,
     insert_by_critical_time,
-    insert_by_critical_time_reference,
     job_feasible,
     job_feasible_reference,
     predicted_completions,
@@ -46,7 +45,6 @@ __all__ = [
     "schedule_feasible",
     "schedule_feasible_reference",
     "insert_by_critical_time",
-    "insert_by_critical_time_reference",
     "predicted_completions",
     "IncrementalSchedule",
     "TaskParams",

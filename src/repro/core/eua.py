@@ -84,6 +84,13 @@ def job_uer_reference(job: Job, now: float, f_max: float, model: EnergyModel) ->
     return utility / (model.energy_per_cycle(f_max) * c)
 
 
+def _utility_density(job: Job, now: float, f_max: float, model: EnergyModel) -> float:
+    """The energy-oblivious ranking key of the AB1 ablation
+    (``ordering="utility_density"``)."""
+    c = max(job.remaining_budget, MIN_UER_CYCLES)
+    return job.utility_at(now + c / f_max) / c
+
+
 class EUAStar(Scheduler):
     """The paper's contribution. See module docstring."""
 
@@ -227,6 +234,9 @@ class EUAStar(Scheduler):
 
         model = view.energy_model
         abort_infeasible = self.abort_infeasible
+        # Resolved per pass, not at import: the mutation harness swaps
+        # the module-level ``job_uer``.
+        metric_of = job_uer if self.ordering == "uer" else _utility_density
         aborts: List[Job] = []
         skipped: List[Job] = []
         ranked: List[Tuple[float, float, Job]] = []
@@ -236,8 +246,7 @@ class EUAStar(Scheduler):
                     aborts.append(job)
                 skipped.append(job)
                 continue
-            metric = self._metric(job, t, f_m, model)
-            ranked.append((metric, job.critical_time, job))
+            ranked.append((metric_of(job, t, f_m, model), job.critical_time, job))
         ranked.sort(key=lambda e: (-e[0], e[1], e[2].release, e[2].index))
         memo[self] = (id(view), aborts, skipped, ranked)
         return aborts, skipped, ranked
@@ -337,11 +346,3 @@ class EUAStar(Scheduler):
         memo, so it must not be changed in place) to keep jobs out of σ.
         """
         return ranked
-
-    # ------------------------------------------------------------------
-    def _metric(self, job: Job, t: float, f_m: float, model: EnergyModel) -> float:
-        if self.ordering == "uer":
-            return job_uer(job, t, f_m, model)
-        # Energy-oblivious utility density (AB1 ablation).
-        c = max(job.remaining_budget, MIN_UER_CYCLES)
-        return job.utility_at(t + c / f_m) / c

@@ -44,7 +44,6 @@ __all__ = [
     "predicted_completions",
     "job_feasible_reference",
     "schedule_feasible_reference",
-    "insert_by_critical_time_reference",
     "IncrementalSchedule",
 ]
 
@@ -153,11 +152,6 @@ def schedule_feasible_reference(sigma: Sequence[Job], now: float, f_max: float) 
         if t >= job.termination - _deadline_slack(job):
             return False
     return True
-
-
-#: The insertion helper has no kernel variant; the alias keeps the
-#: reference importable under an unambiguous name regardless.
-insert_by_critical_time_reference = insert_by_critical_time
 
 
 class IncrementalSchedule:

@@ -1,14 +1,5 @@
 """Extensions implementing the paper's stated future work."""
 
 from .energy_budget import BudgetedEUA
-from .harvesting import HarvestProfile, HarvestingEUA
-from .progress import ProgressAwareEUA, ProgressMetrics, progress_utility
 
-__all__ = [
-    "BudgetedEUA",
-    "HarvestProfile",
-    "HarvestingEUA",
-    "ProgressAwareEUA",
-    "ProgressMetrics",
-    "progress_utility",
-]
+__all__ = ["BudgetedEUA"]

@@ -3,9 +3,8 @@
 A :class:`Task` bundles everything the paper attaches to ``T_i``:
 
 * a non-increasing unimodal TUF ``U_i`` whose relative termination time
-  equals the UAM window ``P_i`` (the paper's convention, Section 2.2 —
-  we allow it to differ, but :meth:`Task.validate_paper_model` checks
-  the strict form);
+  equals the UAM window ``P_i`` in the paper's convention (Section 2.2);
+  the library allows it to differ;
 * a UAM arrival envelope ``⟨a_i, P_i⟩`` and a concrete arrival
   generator honouring it;
 * a stochastic cycle demand ``Y_i``;
@@ -133,9 +132,18 @@ class Task:
 
     @property
     def critical_time(self) -> float:
-        """Critical time ``D_i`` from ``nu = U(D)/U_max`` (relative)."""
+        """Critical time ``D_i`` from ``nu = U(D)/U_max`` (relative).
+
+        Must be positive: Theorem 1's rate ``C_i / D_i`` divides by it
+        (``nu = 1`` on a linear TUF gives ``D_i = 0``).
+        """
         if self._critical_time is None:
-            self._critical_time = self.tuf.critical_time(self.nu)
+            d = self.tuf.critical_time(self.nu)
+            if not d > 0.0:
+                raise TaskModelError(
+                    f"task {self.name!r}: nu={self.nu!r} gives critical time {d!r} "
+                    f"under {self.tuf!r}; it must be > 0")
+            self._critical_time = d
         return self._critical_time
 
     @property
@@ -226,20 +234,6 @@ class Task:
             abortable=self.abortable,
         )
 
-    def validate_paper_model(self) -> None:
-        """Check the strict Section 2.2 conventions.
-
-        The TUF termination time must equal the UAM window ``P_i`` and
-        the TUF must be non-increasing.
-        """
-        if not math.isclose(self.tuf.termination, self.uam.window, rel_tol=1e-9):
-            raise TaskModelError(
-                f"task {self.name!r}: TUF termination {self.tuf.termination} "
-                f"!= UAM window {self.uam.window}"
-            )
-        if not self.tuf.is_non_increasing():
-            raise TaskModelError(f"task {self.name!r}: TUF is not non-increasing")
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Task({self.name!r}, uam=<{self.uam.max_arrivals},{self.uam.window}>, "
@@ -295,10 +289,6 @@ class TaskSet:
         current = self.load(f_max)
         k = target_load / current
         return TaskSet(t.scaled_demand(k) for t in self._tasks)
-
-    def validate_paper_model(self) -> None:
-        for t in self._tasks:
-            t.validate_paper_model()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TaskSet({self.names!r})"

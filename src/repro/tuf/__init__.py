@@ -6,12 +6,7 @@ Public API::
 """
 
 from .base import TUF, TUFError
-from .catalog import (
-    classic_deadline,
-    missile_intercept_window,
-    plot_correlation,
-    track_association,
-)
+from .catalog import plot_correlation, track_association
 from .operations import (
     ClampedTUF,
     ScaledTUF,
@@ -52,6 +47,4 @@ __all__ = [
     "utility_density",
     "track_association",
     "plot_correlation",
-    "missile_intercept_window",
-    "classic_deadline",
 ]

@@ -3,28 +3,14 @@
 Ready-made constructors for the motivating application time constraints
 (AWACS surveillance [4], coastal air defense [12]), parameterised the
 way the applications parameterise them.
-
-Note on Fig. 1(c) (missile control): its launch/mid-course/intercept
-curve *rises* toward the intercept point before collapsing — it is not
-non-increasing, so it falls outside the model this paper restricts
-itself to (§2.2: "we restrict our focus to non-increasing, unimodal
-TUFs").  :func:`missile_intercept_window` provides the standard
-non-increasing treatment: scheduling *within the intercept window*,
-where the constraint is the step-with-decay window around the predicted
-intercept.
 """
 
 from __future__ import annotations
 
 from .base import TUF, TUFError
-from .shapes import MultiStepTUF, PiecewiseLinearTUF, StepTUF
+from .shapes import MultiStepTUF, PiecewiseLinearTUF
 
-__all__ = [
-    "track_association",
-    "plot_correlation",
-    "missile_intercept_window",
-    "classic_deadline",
-]
+__all__ = ["track_association", "plot_correlation"]
 
 
 def track_association(max_utility: float, revisit_time: float) -> TUF:
@@ -66,29 +52,3 @@ def plot_correlation(
          (2.0 * freshness_window, maintenance_utility)]
     )
 
-
-def missile_intercept_window(
-    max_utility: float,
-    window: float,
-    commit_fraction: float = 0.6,
-) -> TUF:
-    """Fig. 1(c), non-increasing treatment — the intercept window.
-
-    Within the engagement window the guidance update keeps full utility
-    until the commit point (``commit_fraction`` of the window), then
-    falls linearly: a late update still steers the interceptor, with
-    shrinking effect, until the window closes.
-    """
-    if not (0.0 < commit_fraction < 1.0):
-        raise TUFError(f"commit fraction must lie in (0, 1), got {commit_fraction!r}")
-    if window <= 0.0:
-        raise TUFError(f"window must be > 0, got {window!r}")
-    commit = commit_fraction * window
-    return PiecewiseLinearTUF(
-        [(0.0, max_utility), (commit, max_utility), (window, 0.0)]
-    )
-
-
-def classic_deadline(max_utility: float, deadline: float) -> TUF:
-    """Fig. 1(d) — the binary downward step (hard/firm deadline)."""
-    return StepTUF(height=max_utility, deadline=deadline)

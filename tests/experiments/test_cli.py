@@ -70,6 +70,15 @@ class TestNewCommands:
         out = capsys.readouterr().out
         assert "norm_utility" in out and "EUA*" in out
 
+    def test_linear_tuf_at_full_nu_is_a_usage_error(self, capsys):
+        # The default --nu 1.0 gives a linear TUF a zero critical time.
+        rc = main(["simulate", "--tuf", "linear", "--horizon", "0.5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro-eua simulate: error: task ")
+        assert "nu=1.0" in err and "LinearTUF" in err
+
     def test_simulate_unknown_scheduler(self):
         with pytest.raises(KeyError):
             main(["simulate", "--horizon", "0.5", "--schedulers", "bogus"])

@@ -22,7 +22,7 @@ from repro.core import (
     EUAStar,
     IncrementalSchedule,
     clear_offline_cache,
-    insert_by_critical_time_reference,
+    insert_by_critical_time,
     job_uer,
     job_uer_reference,
     offline_computing,
@@ -121,7 +121,7 @@ def test_incremental_probes_match_reference(pool):
     inc = IncrementalSchedule(now, f_max)
     sigma = []
     for job in jobs:
-        tentative = insert_by_critical_time_reference(sigma, job)
+        tentative = insert_by_critical_time(sigma, job)
         ref_ok = schedule_feasible_reference(tentative, now, f_max)
         before = _arrays(inc)
         pos = inc.try_insert(job)
@@ -155,7 +155,7 @@ def test_incremental_probes_match_reference_ranked_order(pool):
     inc = IncrementalSchedule(now, f_max)
     sigma = []
     for job in ranked:
-        tentative = insert_by_critical_time_reference(sigma, job)
+        tentative = insert_by_critical_time(sigma, job)
         ref_ok = schedule_feasible_reference(tentative, now, f_max)
         assert (inc.try_insert(job) >= 0) == ref_ok
         if ref_ok:

@@ -97,13 +97,11 @@ class TestValidation:
             arrivals=PeriodicArrivals(0.05),
         )
 
-    def test_validate_paper_model_checks_window(self):
-        t = _task(tuf=StepTUF(10.0, 0.2))  # termination != window
-        with pytest.raises(TaskModelError):
-            t.validate_paper_model()
-
-    def test_validate_paper_model_passes(self):
-        _task().validate_paper_model()
+    def test_zero_critical_time_rejected(self):
+        # nu = 1 on a linear TUF puts D_i at the release: C_i / D_i is undefined.
+        t = _task(tuf=LinearTUF(10.0, 0.1), nu=1.0)
+        with pytest.raises(TaskModelError, match=r"'T'.*nu=1\.0.*LinearTUF"):
+            t.min_feasible_frequency
 
 
 class TestScaling:

@@ -4,8 +4,6 @@ import pytest
 
 from repro.tuf import (
     TUFError,
-    classic_deadline,
-    missile_intercept_window,
     plot_correlation,
     track_association,
     validate,
@@ -48,29 +46,3 @@ class TestPlotCorrelation:
         with pytest.raises(TUFError):
             plot_correlation(30.0, 12.0, 0.0)
 
-
-class TestMissileWindow:
-    def test_commit_point(self):
-        tuf = missile_intercept_window(100.0, 1.0, commit_fraction=0.6)
-        assert tuf.utility(0.59) == pytest.approx(100.0)
-        assert tuf.utility(0.8) == pytest.approx(50.0)
-
-    def test_valid_model(self):
-        validate(missile_intercept_window(100.0, 1.0))
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(TUFError):
-            missile_intercept_window(100.0, 1.0, commit_fraction=1.0)
-
-
-class TestClassicDeadline:
-    def test_is_step(self):
-        tuf = classic_deadline(10.0, 0.5)
-        assert tuf.utility(0.49) == 10.0
-        assert tuf.utility(0.5) == 0.0
-
-    def test_critical_time_binary(self):
-        tuf = classic_deadline(10.0, 0.5)
-        assert tuf.critical_time(1.0) == 0.5
-        with pytest.raises(TUFError):
-            tuf.critical_time(0.5)
