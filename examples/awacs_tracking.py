@@ -12,10 +12,10 @@ The paper motivates TUF scheduling with two defense applications:
   ``t_f`` earns ``Uc_max``, within ``2·t_f`` only the lower maintenance
   utility ``Um_max``.
 
-This example builds both TUFs from :mod:`repro.tuf.catalog`, adds a radar-frame
-housekeeping task, and runs an overloaded engagement (a burst of track
-activity under UAM) under EUA* versus plain EDF — showing the utility
-accrual advantage that motivates the paper.
+This example builds both TUFs from :mod:`repro.tuf.catalog`, adds a
+radar-frame housekeeping task, and runs an overloaded engagement (a
+burst of track activity under UAM) under EUA* versus plain EDF —
+showing the utility accrual advantage that motivates the paper.
 """
 
 import numpy as np

@@ -70,6 +70,7 @@ from .experiments import (
     synthesize_taskset,
 )
 from .sched import available_schedulers, make_scheduler
+from .sim import TaskModelError
 
 __all__ = ["main"]
 
@@ -1083,8 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from .sim.task import TaskModelError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

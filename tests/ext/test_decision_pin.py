@@ -1,9 +1,9 @@
 """Decision pins for the §6 energy extensions (`repro.ext`).
 
-Each case runs :class:`BudgetedEUA` on one
-uniprocessor workload and compares a fingerprint of the run with a
-pinned value: the engine-sourced event records, the exact accrued
-utility and energy (``repr``), and the extension's counter.  Records
+Each case runs :class:`BudgetedEUA` on one uniprocessor workload and
+compares a fingerprint of the run with a pinned value: the
+engine-sourced event records, the exact accrued utility and energy
+(``repr``), and the extension's counter.  Records
 from the scheduler itself (σ ``insert``/``reject``, ``freq_decision``)
 are left out and ``seq`` is dropped, so the pin holds whichever events
 the policy emits alongside the engine's.

@@ -63,7 +63,9 @@ def tasks(draw, i):
     window = draw(st.floats(min_value=0.01, max_value=2.0))
     umax = draw(st.floats(min_value=0.5, max_value=100.0))
     shape = draw(st.sampled_from(["step", "linear", "quadratic", "exponential", "multistep"]))
-    nu = draw(st.floats(min_value=0.05, max_value=1.0))
+    # nu = 1 puts a decaying TUF's critical time at the release, which
+    # Task rejects (Theorem 1 divides by it).
+    nu = draw(st.floats(min_value=0.05, max_value=1.0, exclude_max=True))
     if shape == "step":
         tuf, nu = StepTUF(umax, window), 1.0
     elif shape == "linear":
