@@ -27,7 +27,6 @@ from .arrivals import (
     PoissonUAMArrivals,
     ScatteredUAMArrivals,
     SporadicArrivals,
-    TraceArrivals,
     UAMSpec,
 )
 from .core import EUAStar, offline_computing, uer_optimal_frequency
@@ -100,7 +99,6 @@ __all__ = [
     "BurstUAMArrivals",
     "ScatteredUAMArrivals",
     "PoissonUAMArrivals",
-    "TraceArrivals",
     # demand
     "DemandDistribution",
     "DeterministicDemand",

@@ -12,7 +12,7 @@ import math
 import sys
 import warnings
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "NHPPArrivals",
     "FlashCrowdArrivals",
     "ParetoArrivals",
-    "TraceArrivals",
-    "LoopedTraceArrivals",
 ]
 
 
@@ -614,95 +612,4 @@ class ParetoArrivals(ArrivalGenerator):
             "window": self.spec.window,
             "alpha": self.alpha,
             "x_min": self.x_min,
-        }
-
-
-class TraceArrivals(ArrivalGenerator):
-    """Replay a recorded arrival trace.
-
-    The declared spec is the *tightest* window for the trace's observed
-    burst size unless an explicit spec is provided (which is then checked).
-    """
-
-    def __init__(self, times: Sequence[float], spec: Optional[UAMSpec] = None):
-        ts = sorted(float(t) for t in times)
-        if ts and ts[0] < 0.0:
-            raise UAMError("trace times must be >= 0")
-        self._times = ts
-        if spec is None:
-            spec = self._infer_spec(ts)
-        elif not is_uam_compliant(ts, spec):
-            raise UAMError("trace violates the declared UAM spec")
-        self.spec = spec
-
-    @staticmethod
-    def _infer_spec(ts: List[float]) -> UAMSpec:
-        if len(ts) < 2:
-            return UAMSpec(1, 1.0)
-        # Use the maximum simultaneity as a and the smallest gap between
-        # groups of a as P (a conservative compliant envelope).
-        from collections import Counter
-
-        a = max(Counter(ts).values())
-        gaps = [b - a_ for a_, b in zip(ts, ts[a:]) if b > a_]
-        window = min(gaps) if gaps else 1.0
-        return UAMSpec(a, window)
-
-    def generate(self, horizon: float, rng: Optional[np.random.Generator] = None) -> List[float]:
-        return [t for t in self._times if t < horizon]
-
-    def to_config(self) -> Dict[str, object]:
-        return {
-            "name": "trace",
-            "times": list(self._times),
-            "a": self.spec.max_arrivals,
-            "window": self.spec.window,
-        }
-
-
-class LoopedTraceArrivals(ArrivalGenerator):
-    """Replay a recorded trace *tiled periodically* over the horizon.
-
-    The base trace must live inside ``[0, cycle)``; copy ``k`` is the
-    base shifted by ``k · cycle``.  The tiled stream is thinned to the
-    declared ``⟨a, P⟩`` spec (wrap-around can cluster the tail of one
-    copy against the head of the next), so a short measured trace —
-    e.g. one recorded day of request timestamps — drives arbitrarily
-    long campaigns while the paper's assurances keep applying.
-    """
-
-    def __init__(self, times: Sequence[float], cycle: float, spec: Optional[UAMSpec] = None):
-        if not (cycle > 0.0):
-            raise UAMError(f"cycle must be > 0, got {cycle!r}")
-        ts = sorted(float(t) for t in times)
-        if ts and (ts[0] < 0.0 or ts[-1] >= cycle):
-            raise UAMError("looped trace times must lie in [0, cycle)")
-        self._times = ts
-        self.cycle = float(cycle)
-        if spec is None:
-            # Infer from two tiled copies so the wrap-around seam is
-            # part of the observed envelope.
-            doubled = ts + [t + self.cycle for t in ts]
-            spec = TraceArrivals._infer_spec(doubled)
-        self.spec = spec
-
-    def generate(self, horizon: float, rng: Optional[np.random.Generator] = None) -> List[float]:
-        if not self._times or horizon <= 0.0:
-            return []
-        n_cycles = int(np.ceil(horizon / self.cycle))
-        tiled = [
-            k * self.cycle + t
-            for k in range(n_cycles)
-            for t in self._times
-            if k * self.cycle + t < horizon
-        ]
-        return thin_to_uam(tiled, self.spec)
-
-    def to_config(self) -> Dict[str, object]:
-        return {
-            "name": "trace-loop",
-            "times": list(self._times),
-            "cycle": self.cycle,
-            "a": self.spec.max_arrivals,
-            "window": self.spec.window,
         }

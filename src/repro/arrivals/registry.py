@@ -9,9 +9,9 @@ of hard-coded constructor calls.  Two construction styles compose:
 :class:`~repro.arrivals.uam.UAMSpec` and let defaults scale off it
 (``create_arrival_generator("poisson", spec=spec)`` reproduces the
 workload synthesiser's historical ``rate = 2 a / P`` choice exactly).
-Shapes constructible this way are listed by
-:func:`workload_shape_names` and are what ``synthesize_taskset`` and
-the fuzzer's registry strata accept.
+Every registered shape is constructible this way;
+:func:`workload_shape_names` lists them, and they are what
+``synthesize_taskset`` and the fuzzer's registry strata accept.
 
 *Absolute* — pass every parameter explicitly, as produced by
 :meth:`~repro.arrivals.generators.ArrivalGenerator.to_config`.  The
@@ -37,7 +37,6 @@ from .generators import (
     BurstUAMArrivals,
     FlashCrowdArrivals,
     JitteredPeriodicArrivals,
-    LoopedTraceArrivals,
     MMPPUAMArrivals,
     NHPPArrivals,
     ParetoArrivals,
@@ -45,44 +44,37 @@ from .generators import (
     PoissonUAMArrivals,
     ScatteredUAMArrivals,
     SporadicArrivals,
-    TraceArrivals,
 )
 from .uam import UAMError, UAMSpec
 
 __all__ = [
     "register_arrival_generator",
     "create_arrival_generator",
-    "arrival_generator_names",
     "workload_shape_names",
     "generator_config",
     "generator_from_config",
 ]
 
-#: name → (factory(spec, **params), constructible from a spec alone?)
-_REGISTRY: Dict[str, tuple] = {}
+#: name → factory(spec, **params)
+_REGISTRY: Dict[str, Callable[..., ArrivalGenerator]] = {}
 
 
 def register_arrival_generator(
     name: str,
     factory: Optional[Callable[..., ArrivalGenerator]] = None,
-    *,
-    from_spec: bool = True,
 ):
     """Register ``factory`` under ``name`` (usable as a decorator).
 
     ``factory(spec, **params)`` must return an
-    :class:`~repro.arrivals.generators.ArrivalGenerator`; ``spec`` may
-    be ``None`` when the shape carries its own envelope (e.g. traces).
-    ``from_spec=False`` marks shapes that *require* extra parameters
-    (recorded traces) and excludes them from
-    :func:`workload_shape_names`.  Duplicate names are an error — shadow
+    :class:`~repro.arrivals.generators.ArrivalGenerator` whose defaults
+    scale off ``spec``.  Duplicate names are an error — shadow
     registration would silently change campaign identity.
     """
 
     def _register(fn: Callable[..., ArrivalGenerator]):
         if name in _REGISTRY:
             raise ValueError(f"arrival generator {name!r} is already registered")
-        _REGISTRY[name] = (fn, bool(from_spec))
+        _REGISTRY[name] = fn
         return fn
 
     if factory is not None:
@@ -90,16 +82,11 @@ def register_arrival_generator(
     return _register
 
 
-def arrival_generator_names() -> List[str]:
-    """All registered shape names, sorted."""
-    return sorted(_REGISTRY)
-
-
 def workload_shape_names() -> List[str]:
-    """Shapes constructible from a ``UAMSpec`` alone (sorted) — the
-    valid ``arrival_mode`` values for ``synthesize_taskset``, campaign
-    configs and the fuzzer's registry strata."""
-    return sorted(name for name, (_, from_spec) in _REGISTRY.items() if from_spec)
+    """Registered shape names (sorted) — the valid ``arrival_mode``
+    values for ``synthesize_taskset``, campaign configs and the
+    fuzzer's registry strata."""
+    return sorted(_REGISTRY)
 
 
 def create_arrival_generator(
@@ -117,11 +104,11 @@ def create_arrival_generator(
     round-trip without constructing a :class:`UAMSpec` first).
     """
     try:
-        factory, _ = _REGISTRY[name]
+        factory = _REGISTRY[name]
     except KeyError:
         raise UAMError(
             f"unknown arrival generator {name!r} "
-            f"(registered: {', '.join(arrival_generator_names())})"
+            f"(registered: {', '.join(workload_shape_names())})"
         ) from None
     if spec is None and a is not None and window is not None:
         spec = UAMSpec(int(a), float(window))
@@ -333,24 +320,3 @@ def _make_pareto(
         mean_gap = s.window / (rel_rate * s.max_arrivals)
         x_min = mean_gap * (alpha - 1.0) / alpha
     return ParetoArrivals(s, alpha=alpha, x_min=x_min)
-
-
-@register_arrival_generator("trace", from_spec=False)
-def _make_trace(
-    spec: Optional[UAMSpec],
-    times: Optional[List[float]] = None,
-) -> TraceArrivals:
-    if times is None:
-        raise UAMError("arrival shape 'trace' needs a times=[...] list")
-    return TraceArrivals(times, spec=spec)
-
-
-@register_arrival_generator("trace-loop", from_spec=False)
-def _make_trace_loop(
-    spec: Optional[UAMSpec],
-    times: Optional[List[float]] = None,
-    cycle: Optional[float] = None,
-) -> LoopedTraceArrivals:
-    if times is None or cycle is None:
-        raise UAMError("arrival shape 'trace-loop' needs times=[...] and cycle=...")
-    return LoopedTraceArrivals(times, cycle, spec=spec)

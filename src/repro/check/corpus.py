@@ -8,9 +8,9 @@ same simulation bit for bit.
 
 Replayed tasks with ``a > 1`` get a :class:`BurstUAMArrivals` dummy
 generator — jobs always come from the stored trace, but the task model
-requires *some* generator contained in the envelope (and deliberately
-not :class:`TraceArrivals`, which would reject the UAM-violating
-streams that some corpus cases exist to preserve).
+requires *some* generator contained in the envelope; the stored
+streams may violate it, which is what some corpus cases exist to
+preserve.
 """
 
 from __future__ import annotations

@@ -633,31 +633,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_arrivals(args: argparse.Namespace) -> int:
-    from .arrivals import (
-        arrival_generator_names,
-        create_arrival_generator,
-        workload_shape_names,
-    )
+    from .arrivals import create_arrival_generator, workload_shape_names
 
-    spec_shapes = set(workload_shape_names())
     rows = []
-    for name in arrival_generator_names():
-        if name in spec_shapes:
-            gen = create_arrival_generator(name, a=3, window=0.1)
-            params = ", ".join(
-                f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in gen.to_config().items()
-                if k != "name"
-            )
-        else:
-            params = "(trace-driven: needs explicit times)"
-        rows.append({
-            "name": name,
-            "from_spec": "yes" if name in spec_shapes else "no",
-            "defaults_for_<3,0.1>": params,
-        })
+    for name in workload_shape_names():
+        gen = create_arrival_generator(name, a=3, window=0.1)
+        params = ", ".join(
+            f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in gen.to_config().items()
+            if k != "name"
+        )
+        rows.append({"name": name, "defaults_for_<3,0.1>": params})
     print("registered arrival shapes (--arrivals NAME[:K=V,...]):")
-    print(ascii_table(rows, ["name", "from_spec", "defaults_for_<3,0.1>"]))
+    print(ascii_table(rows, ["name", "defaults_for_<3,0.1>"]))
     return 0
 
 
@@ -1086,11 +1074,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except TaskModelError as exc:  # e.g. --nu 1.0 on a linear TUF: D_i = 0
-        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+    known = available_schedulers()
+    names = [getattr(args, "scheduler", None), *getattr(args, "schedulers", [])]
+    unknown = [n for n in names if n is not None and n not in known]
+    if unknown:
+        message = f"unknown scheduler {unknown[0]!r}; choose from {', '.join(known)}"
+    else:
+        try:
+            return args.func(args)
+        except TaskModelError as exc:  # e.g. --nu 1.0 on a linear TUF: D_i = 0
+            message = str(exc)
+    print(f"{parser.prog} {args.command}: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,13 +1,6 @@
 """CPU substrate: DVS frequency ladder, system-level energy model, processor."""
 
-from .energy import (
-    EnergyError,
-    EnergyModel,
-    MPConfiguration,
-    MulticorePowerModel,
-    energy_optimal_frequency,
-    min_energy_configuration,
-)
+from .energy import EnergyError, EnergyModel, energy_optimal_frequency
 from .frequency import POWERNOW_K6_MHZ, FrequencyError, FrequencyScale
 from .processor import Processor, ProcessorStats
 
@@ -18,9 +11,6 @@ __all__ = [
     "EnergyModel",
     "EnergyError",
     "energy_optimal_frequency",
-    "MulticorePowerModel",
-    "MPConfiguration",
-    "min_energy_configuration",
     "Processor",
     "ProcessorStats",
 ]

@@ -26,9 +26,6 @@ __all__ = [
     "EnergyModel",
     "EnergyError",
     "energy_optimal_frequency",
-    "MulticorePowerModel",
-    "MPConfiguration",
-    "min_energy_configuration",
 ]
 
 
@@ -144,139 +141,3 @@ def energy_optimal_frequency(model: EnergyModel, scale: FrequencyScale) -> float
     :mod:`repro.core.offline` because it needs the task's TUF.)
     """
     return min(scale.levels, key=model.energy_per_cycle)
-
-
-# ----------------------------------------------------------------------
-# Multicore platform model (repro.mp)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MulticorePowerModel:
-    """Core-count-aware platform power.
-
-    Each powered-on core runs the same per-core Martin model, and every
-    powered-on core additionally draws a frequency-independent uncore
-    share ``active_power`` (interconnect, shared caches, per-core
-    regulator).  With ``k`` active cores all clocked at ``f``:
-
-        P(f, k) = k · (P_core(f) + active_power).
-
-    ``active_power = 0`` collapses to ``k`` independent uniprocessor
-    Martin models, which is what keeps the m=1 engine bit-identical to
-    the uniprocessor one.  The :meth:`eapss` constructor yields the
-    EAPSS-style ``P ∝ f³·cores`` alternative (per-core ``E(f) = f²``).
-    """
-
-    core_model: EnergyModel
-    active_power: float = 0.0
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.active_power < 0.0 or not math.isfinite(self.active_power):
-            raise EnergyError(
-                f"active_power must be finite and >= 0, got {self.active_power!r}"
-            )
-
-    @classmethod
-    def martin(cls, core_model: EnergyModel, active_power: float = 0.0) -> "MulticorePowerModel":
-        """Per-core Martin model plus the active-cores uncore term."""
-        return cls(
-            core_model=core_model,
-            active_power=active_power,
-            name=f"martin[{core_model}]",
-        )
-
-    @classmethod
-    def eapss(cls, active_power: float = 0.0) -> "MulticorePowerModel":
-        """EAPSS-style platform: ``P(f, k) = k·f³`` (+ uncore term).
-
-        Equivalent to a cubic CPU-only per-core model — the
-        multiprocessor analogue of the paper's E1 preset.
-        """
-        return cls(
-            core_model=EnergyModel.cpu_only(),
-            active_power=active_power,
-            name="eapss",
-        )
-
-    # ------------------------------------------------------------------
-    def platform_power(self, frequency: float, active_cores: int) -> float:
-        """``P(f, k)`` — total power with ``k`` cores active at ``f``."""
-        if active_cores < 0:
-            raise EnergyError(f"active_cores must be >= 0, got {active_cores!r}")
-        if active_cores == 0:
-            return 0.0
-        return active_cores * (self.core_model.power(frequency) + self.active_power)
-
-    def __str__(self) -> str:
-        return self.name or f"MulticorePowerModel({self.core_model})"
-
-
-@dataclass(frozen=True)
-class MPConfiguration:
-    """One (frequency, active-cores) operating point of the platform."""
-
-    frequency: float
-    cores: int
-    power: float
-    feasible: bool
-
-
-def _ffd_fits(rates: list, bins: int, capacity: float) -> bool:
-    """First-fit-decreasing feasibility: can ``rates`` (cycles/second
-    densities ``C_i/D_i``) be packed into ``bins`` cores of ``capacity``
-    cycles/second each?  Sufficient, not necessary — the standard
-    partitioned-feasibility test (Baruah & Fisher)."""
-    tol = 1e-9 * max(1.0, capacity)
-    loads = [0.0] * bins
-    for rate in sorted(rates, reverse=True):
-        for i in range(bins):
-            if loads[i] + rate <= capacity + tol:
-                loads[i] += rate
-                break
-        else:
-            return False
-    return True
-
-
-def min_energy_configuration(
-    model: MulticorePowerModel,
-    scale: FrequencyScale,
-    m: int,
-    task_rates,
-) -> MPConfiguration:
-    """Minimum-energy feasible (frequency, active-cores) pair.
-
-    Searches every ladder level ``f`` × core count ``k ∈ 1..m`` and
-    returns the feasible configuration (FFD-packable task densities)
-    with the lowest platform power ``P(f, k)``; ties break toward fewer
-    cores, then lower frequency.  On overload — no configuration packs
-    the task set even at ``(f_max, m)`` — falls back to full power with
-    ``feasible=False``, mirroring the uniprocessor ``decideFreq``
-    overload fallback.
-    """
-    if m < 1:
-        raise EnergyError(f"m must be >= 1, got {m!r}")
-    rates = [float(r) for r in task_rates]
-    if any(r < 0.0 or not math.isfinite(r) for r in rates):
-        raise EnergyError(f"task rates must be finite and >= 0, got {rates!r}")
-    best: "MPConfiguration | None" = None
-    for k in range(1, m + 1):
-        for f in scale.levels:
-            if not _ffd_fits(rates, k, f):
-                continue
-            power = model.platform_power(f, k)
-            if (
-                best is None
-                or power < best.power
-                or (power == best.power and (k, f) < (best.cores, best.frequency))
-            ):
-                best = MPConfiguration(frequency=f, cores=k, power=power, feasible=True)
-    if best is not None:
-        return best
-    f_max = scale.f_max
-    return MPConfiguration(
-        frequency=f_max,
-        cores=m,
-        power=model.platform_power(f_max, m),
-        feasible=False,
-    )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import io
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-__all__ = ["ascii_table", "series_chart", "rows_to_csv", "render_obs_summary"]
+__all__ = ["ascii_table", "series_chart", "render_obs_summary"]
 
 
 def ascii_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> str:
@@ -131,16 +131,3 @@ def render_obs_summary(metrics=None) -> str:
 
     text = out.getvalue().rstrip("\n")
     return text if text else "(no observability data captured)"
-
-
-def rows_to_csv(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> str:
-    """CSV text from dict rows (no file side effects)."""
-    out = io.StringIO()
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        cells = []
-        for c in columns:
-            v = row.get(c, "")
-            cells.append(f"{v:.6g}" if isinstance(v, float) else str(v))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()

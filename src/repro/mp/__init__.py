@@ -3,7 +3,7 @@
 Partitioned and global multicore scheduling on m per-core
 :class:`~repro.cpu.Processor` instances behind the uniprocessor
 :class:`~repro.sim.scheduler.SchedulerView` contract, with a
-core-count-aware platform energy model.  See ``docs/model.md``
+a per-active-core uncore energy term.  See ``docs/model.md``
 ("Multiprocessor extension") for semantics and assumptions.
 """
 

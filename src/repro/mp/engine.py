@@ -30,7 +30,7 @@ pins this.
 Energy: each core integrates the per-core Martin model exactly as the
 uniprocessor does; the platform additionally charges the
 frequency-independent uncore share ``active_power`` per powered core
-over the whole horizon (:class:`~repro.cpu.MulticorePowerModel`).  The
+over the whole horizon (``active_power · cores · horizon``).  The
 uncore term is folded into the combined ``idle_energy`` so existing
 aggregate consumers (``Metrics``, normalisers, campaigns) see it
 without modification; ``active_power = 0`` (the default) keeps m=1 runs
@@ -49,21 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from ..cpu import (
-    EnergyModel,
-    FrequencyScale,
-    MPConfiguration,
-    MulticorePowerModel,
-    ProcessorStats,
-    min_energy_configuration,
-)
+from ..cpu import EnergyModel, FrequencyScale, ProcessorStats
 from ..obs import Observer
 from ..sim.engine import Engine, SimulationError, SimulationResult, _CoreObserver
 from ..sim.job import Job
 from ..sim.metrics import Metrics
 from ..sim.runner import Platform
 from ..sim.scheduler import Scheduler
-from ..sim.task import TaskSet
 from ..sim.trace import Segment
 from ..sim.workload import WorkloadTrace
 from .partition import Partition, partition_taskset
@@ -144,20 +136,6 @@ class MulticorePlatform(Platform):
         self.cores = int(cores)
         self.active_power = float(active_power)
 
-    def power_model(self) -> MulticorePowerModel:
-        """The platform's core-count-aware power model."""
-        return MulticorePowerModel.martin(self.energy_model, self.active_power)
-
-    def configuration(self, taskset: TaskSet) -> MPConfiguration:
-        """Minimum-energy feasible (frequency, active-cores) pair for
-        ``taskset`` on this platform (full power on overload)."""
-        return min_energy_configuration(
-            self.power_model(),
-            self.scale,
-            self.cores,
-            [t.min_feasible_frequency for t in taskset],
-        )
-
     @classmethod
     def from_platform(
         cls, platform: Platform, cores: int, active_power: float = 0.0
@@ -208,7 +186,6 @@ class MPSimulationResult:
     #: or a checker is attached).
     core_segments: Optional[List[List[Segment]]] = None
     per_core_results: Optional[List[Optional[SimulationResult]]] = None
-    configuration: Optional[MPConfiguration] = None
     trace = None  # SimulationResult-consumer compatibility
 
     @property
@@ -251,7 +228,6 @@ def simulate_partitioned(
     scheduler: SchedulerSpecLike,
     platform: MulticorePlatform,
     strategy: str = "wfd",
-    auto_cores: bool = False,
     observer: Optional[Observer] = None,
     record_trace: bool = False,
     checker: Optional[InvariantChecker] = None,
@@ -262,10 +238,7 @@ def simulate_partitioned(
     non-empty core runs the unchanged :class:`~repro.sim.engine.Engine`
     with a fresh scheduler instance over its disjoint sub-workload.
     Empty cores idle for the whole horizon (charging ``idle_power``).
-    With ``auto_cores=True`` the minimum-energy feasible active-core
-    count from :func:`~repro.cpu.min_energy_configuration` bounds the
-    partition; cores beyond it are powered down (no idle or uncore
-    energy).  A ``checker`` watches every core's releases and decisions
+    A ``checker`` watches every core's releases and decisions
     (each core's engine binds it in turn) and then audits the combined
     result once; it implies ``record_trace``.
     """
@@ -273,13 +246,9 @@ def simulate_partitioned(
     taskset = workload.taskset
     horizon = workload.horizon
 
-    configuration: Optional[MPConfiguration] = None
-    active = platform.cores
-    if auto_cores:
-        configuration = platform.configuration(taskset)
-        active = configuration.cores if configuration.feasible else platform.cores
-
-    partition = partition_taskset(taskset, active, strategy, f_max=platform.scale.f_max)
+    partition = partition_taskset(
+        taskset, platform.cores, strategy, f_max=platform.scale.f_max
+    )
     by_spec: Dict[str, List] = {t.name: [] for t in taskset}
     for spec in workload:
         by_spec[spec.task.name].append(spec)
@@ -323,7 +292,7 @@ def simulate_partitioned(
         if core_segments is not None:
             core_segments.append(result.trace.segments)
 
-    uncore_energy = platform.active_power * active * horizon
+    uncore_energy = platform.active_power * platform.cores * horizon
     combined = _combine_stats(per_core_stats, uncore_energy)
     metrics = Metrics(taskset, all_jobs, combined, horizon)
     result = MPSimulationResult(
@@ -341,7 +310,6 @@ def simulate_partitioned(
         partition=partition,
         core_segments=core_segments,
         per_core_results=per_core_results,
-        configuration=configuration,
     )
     if checker is not None:
         checker.audit(result, observer)
@@ -444,7 +412,6 @@ def simulate_mp(
     platform: MulticorePlatform,
     mode: str = "partitioned",
     strategy: str = "wfd",
-    auto_cores: bool = False,
     observer: Optional[Observer] = None,
     record_trace: bool = False,
     checker: Optional[InvariantChecker] = None,
@@ -463,7 +430,6 @@ def simulate_mp(
             scheduler,
             platform,
             strategy=strategy,
-            auto_cores=auto_cores,
             observer=observer,
             record_trace=record_trace,
             checker=checker,

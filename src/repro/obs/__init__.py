@@ -28,8 +28,6 @@ from .jsonl import (
     metrics_to_jsonl,
     phase_report_from_jsonl,
     phase_report_to_jsonl,
-    spans_from_jsonl,
-    spans_to_jsonl,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observer import Observer
@@ -67,8 +65,6 @@ __all__ = [
     "events_from_jsonl",
     "metrics_to_jsonl",
     "metrics_from_jsonl",
-    "spans_to_jsonl",
-    "spans_from_jsonl",
     "phase_report_to_jsonl",
     "phase_report_from_jsonl",
 ]

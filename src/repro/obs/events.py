@@ -68,12 +68,6 @@ class EventKind(enum.Enum):
     ADMISSION_DECISION = "admission_decision"
     #: Checker: a machine-checked scheduling invariant failed.
     INVARIANT_VIOLATION = "invariant_violation"
-    #: Telemetry: one aggregated phase row of a span trace (see
-    #: :meth:`repro.obs.telemetry.PhaseReport.to_events`).
-    SPAN = "span"
-    #: Telemetry: a run-level accounting summary (wall-clock, coverage,
-    #: reps/sec, cache hit rate, counters).
-    TELEMETRY = "telemetry"
 
 
 @dataclass(frozen=True)

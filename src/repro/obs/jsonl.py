@@ -15,16 +15,13 @@ from typing import Dict, Iterable, List
 
 from .events import Event, EventKind, EventLog
 from .metrics import Histogram, MetricsRegistry
-from .spans import Span, SpanTracer
-from .telemetry import PHASE_REPORT_VERSION, PhaseReport
+from .telemetry import PhaseReport
 
 __all__ = [
     "events_to_jsonl",
     "events_from_jsonl",
     "metrics_to_jsonl",
     "metrics_from_jsonl",
-    "spans_to_jsonl",
-    "spans_from_jsonl",
     "phase_report_to_jsonl",
     "phase_report_from_jsonl",
 ]
@@ -120,57 +117,8 @@ def metrics_from_jsonl(text: str) -> MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Spans and phase reports (versioned wire format)
+# Phase reports (versioned wire format)
 # ----------------------------------------------------------------------
-def spans_to_jsonl(tracer: SpanTracer) -> str:
-    """Serialise completed spans, one per line, in sequence order."""
-    lines: List[str] = []
-    for s in tracer.spans:
-        lines.append(json.dumps({
-            "type": "span",
-            "version": PHASE_REPORT_VERSION,
-            "seq": s.seq,
-            "path": s.path,
-            "name": s.name,
-            "depth": s.depth,
-            "start": s.start,
-            "duration": s.duration,
-            "self": s.self_time,
-            "worker": s.worker,
-        }))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def spans_from_jsonl(text: str) -> SpanTracer:
-    """Rebuild a (closed) :class:`SpanTracer` from :func:`spans_to_jsonl`
-    output.  The returned tracer carries the recorded spans; its clock
-    restarts, so it can also keep tracing."""
-    tracer = SpanTracer()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        if row.get("type") != "span":
-            raise ValueError(f"line {lineno}: expected a span row, got {row.get('type')!r}")
-        version = int(row.get("version", 0))
-        if version != PHASE_REPORT_VERSION:
-            raise ValueError(
-                f"line {lineno}: span version {version} unsupported "
-                f"(this build reads version {PHASE_REPORT_VERSION})"
-            )
-        tracer.spans.append(Span(
-            seq=int(row["seq"]),
-            path=str(row["path"]),
-            name=str(row["name"]),
-            depth=int(row["depth"]),
-            start=float(row["start"]),
-            duration=float(row["duration"]),
-            self_time=float(row["self"]),
-            worker=str(row.get("worker", "main")),
-        ))
-    return tracer
-
-
 def phase_report_to_jsonl(report: PhaseReport) -> str:
     """Serialise a :class:`PhaseReport` as one versioned JSONL row."""
     return json.dumps({"type": "phase_report", **report.to_dict()}) + "\n"

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .events import EventKind, EventLog
 from .spans import SpanTracer
 
 __all__ = [
@@ -220,27 +219,6 @@ class PhaseReport:
                 else float(payload["cache_hit_rate"])
             ),
         )
-
-    def to_events(self, log: EventLog, time: float = 0.0) -> None:
-        """Append the report to a typed :class:`EventLog`: one ``span``
-        event per phase row and one ``telemetry`` summary event, so the
-        standard event tooling (JSONL, filters) sees phase accounting
-        next to the decision stream."""
-        for row in self.phases:
-            log.emit(
-                time, EventKind.SPAN, source="telemetry",
-                phase=row.phase, count=row.count, total=row.total,
-                self_time=row.self_time, p50=row.p50, p99=row.p99,
-            )
-        summary: Dict[str, object] = {
-            "wall_clock": self.wall_clock,
-            "coverage": self.coverage(),
-            "reps_per_second": self.reps_per_second,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
-        for name, value in sorted(self.counters.items()):
-            summary[name] = value
-        log.emit(time, EventKind.TELEMETRY, source="telemetry", **summary)
 
     # ------------------------------------------------------------------
     def render(self) -> str:

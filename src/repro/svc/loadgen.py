@@ -2,7 +2,7 @@
 
 Builds a deterministic arrival schedule for a synthesized task set from
 any registered arrival shape (``poisson``, ``nhpp-diurnal``,
-``flash-crowd``, trace replay, …), compresses it onto the wall clock by
+``flash-crowd``, …), compresses it onto the wall clock by
 the service's rate factor, and replays it over persistent loopback HTTP
 connections.  The resulting :class:`LoadReport` carries the service
 qualities the PR 10 acceptance gate cares about: sustained

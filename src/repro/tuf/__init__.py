@@ -7,16 +7,6 @@ Public API::
 
 from .base import TUF, TUFError
 from .catalog import plot_correlation, track_association
-from .operations import (
-    ClampedTUF,
-    ScaledTUF,
-    ShiftedTUF,
-    clamp,
-    scale,
-    shift,
-    utility_density,
-    validate,
-)
 from .shapes import (
     ExponentialDecayTUF,
     LinearTUF,
@@ -37,14 +27,6 @@ __all__ = [
     "ExponentialDecayTUF",
     "QuadraticDecayTUF",
     "TabulatedTUF",
-    "ScaledTUF",
-    "ShiftedTUF",
-    "ClampedTUF",
-    "scale",
-    "shift",
-    "clamp",
-    "validate",
-    "utility_density",
     "track_association",
     "plot_correlation",
 ]

@@ -10,7 +10,6 @@ from repro.arrivals import (
     PoissonUAMArrivals,
     ScatteredUAMArrivals,
     SporadicArrivals,
-    TraceArrivals,
     UAMError,
     UAMSpec,
     is_uam_compliant,
@@ -144,32 +143,6 @@ class TestPoissonUAM:
     def test_rejects_bad_rate(self):
         with pytest.raises(UAMError):
             PoissonUAMArrivals(UAMSpec(1, 1.0), rate=0.0)
-
-
-class TestTrace:
-    def test_replay(self):
-        gen = TraceArrivals([0.5, 1.5, 2.5])
-        assert gen.generate(2.0) == [0.5, 1.5]
-
-    def test_inferred_spec_admits_trace(self):
-        times = [0.0, 0.0, 0.7, 1.4, 1.4]
-        gen = TraceArrivals(times)
-        assert is_uam_compliant(times, gen.spec)
-
-    def test_explicit_spec_checked(self):
-        with pytest.raises(UAMError):
-            TraceArrivals([0.0, 0.1], spec=UAMSpec(1, 1.0))
-
-    def test_explicit_spec_accepted(self):
-        gen = TraceArrivals([0.0, 1.0], spec=UAMSpec(1, 1.0))
-        assert gen.spec.max_arrivals == 1
-
-    def test_rejects_negative_times(self):
-        with pytest.raises(UAMError):
-            TraceArrivals([-1.0, 0.0])
-
-    def test_sorts_input(self):
-        assert TraceArrivals([2.0, 0.5]).generate(10.0) == [0.5, 2.0]
 
 
 class TestGenerateChecked:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.arrivals import (
     FlashCrowdArrivals,
-    LoopedTraceArrivals,
     NHPPArrivals,
     ParetoArrivals,
     UAMError,
@@ -134,38 +133,6 @@ class TestPareto:
             ParetoArrivals(SPEC, alpha=0.0)
         with pytest.raises(UAMError):
             ParetoArrivals(SPEC, x_min=0.0)
-
-
-class TestLoopedTrace:
-    def test_tiles_the_base_trace(self):
-        gen = LoopedTraceArrivals([0.0, 0.3], cycle=1.0, spec=UAMSpec(2, 0.3))
-        assert gen.generate(2.5) == [0.0, 0.3, 1.0, 1.3, 2.0, 2.3]
-
-    def test_partial_last_cycle_is_clipped(self):
-        gen = LoopedTraceArrivals([0.0, 0.6], cycle=1.0, spec=UAMSpec(2, 0.4))
-        assert gen.generate(1.5) == [0.0, 0.6, 1.0]
-
-    def test_empty_trace_and_zero_horizon(self):
-        assert LoopedTraceArrivals([], cycle=1.0).generate(5.0) == []
-        gen = LoopedTraceArrivals([0.1], cycle=1.0)
-        assert gen.generate(0.0) == []
-
-    def test_inferred_spec_covers_the_wraparound_seam(self):
-        # Tail at 0.9 meets the next copy's head at 1.0: the inferred
-        # window must make the tiled stream self-compliant.
-        gen = LoopedTraceArrivals([0.0, 0.9], cycle=1.0)
-        times = gen.generate(4.0)
-        assert is_uam_compliant(times, gen.spec)
-
-    def test_rejects_times_outside_cycle(self):
-        with pytest.raises(UAMError):
-            LoopedTraceArrivals([0.0, 1.0], cycle=1.0)
-        with pytest.raises(UAMError):
-            LoopedTraceArrivals([-0.1], cycle=1.0)
-
-    def test_rejects_bad_cycle(self):
-        with pytest.raises(UAMError):
-            LoopedTraceArrivals([0.0], cycle=0.0)
 
 
 class TestUnseededRNGWarning:

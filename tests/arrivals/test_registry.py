@@ -19,7 +19,6 @@ from repro.arrivals import (
     ScatteredUAMArrivals,
     UAMError,
     UAMSpec,
-    arrival_generator_names,
     create_arrival_generator,
     generator_config,
     generator_from_config,
@@ -34,19 +33,14 @@ SPEC = UAMSpec(3, 0.1)
 
 class TestListing:
     def test_all_shapes_registered(self):
-        names = arrival_generator_names()
+        names = workload_shape_names()
         for expected in ("periodic", "jittered", "sporadic", "burst",
                          "scattered", "poisson", "mmpp", "nhpp-diurnal",
-                         "flash-crowd", "pareto", "trace", "trace-loop"):
+                         "flash-crowd", "pareto"):
             assert expected in names
 
     def test_listing_is_sorted(self):
-        assert arrival_generator_names() == sorted(arrival_generator_names())
-
-    def test_trace_shapes_are_not_workload_shapes(self):
-        shapes = workload_shape_names()
-        assert "trace" not in shapes and "trace-loop" not in shapes
-        assert set(shapes) < set(arrival_generator_names())
+        assert workload_shape_names() == sorted(workload_shape_names())
 
     def test_legacy_modes_are_workload_shapes(self):
         shapes = workload_shape_names()
@@ -70,14 +64,6 @@ class TestCreate:
     def test_spec_required_shapes_reject_none(self):
         with pytest.raises(UAMError, match="needs a UAM spec"):
             create_arrival_generator("burst")
-
-    def test_trace_requires_times(self):
-        with pytest.raises(UAMError, match="times"):
-            create_arrival_generator("trace")
-
-    def test_trace_loop_requires_times_and_cycle(self):
-        with pytest.raises(UAMError):
-            create_arrival_generator("trace-loop", times=[0.0, 0.1])
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -128,16 +114,6 @@ class TestConfigRoundTrip:
         b = rebuilt.generate(3.0, np.random.default_rng(99))
         assert a == b
         assert rebuilt.to_config() == config
-
-    def test_trace_round_trip(self):
-        gen = create_arrival_generator("trace", times=[0.0, 0.25, 0.5])
-        rebuilt = generator_from_config(json.loads(json.dumps(generator_config(gen))))
-        assert rebuilt.generate(1.0) == gen.generate(1.0)
-
-    def test_trace_loop_round_trip(self):
-        gen = create_arrival_generator("trace-loop", times=[0.0, 0.3], cycle=1.0)
-        rebuilt = generator_from_config(json.loads(json.dumps(generator_config(gen))))
-        assert rebuilt.generate(3.5) == gen.generate(3.5)
 
     def test_config_requires_name(self):
         with pytest.raises(UAMError, match="name"):

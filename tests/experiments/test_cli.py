@@ -79,9 +79,18 @@ class TestNewCommands:
         assert err.startswith("repro-eua simulate: error: task ")
         assert "nu=1.0" in err and "LinearTUF" in err
 
-    def test_simulate_unknown_scheduler(self):
-        with pytest.raises(KeyError):
-            main(["simulate", "--horizon", "0.5", "--schedulers", "bogus"])
+    def test_simulate_unknown_scheduler(self, capsys):
+        rc = main(["simulate", "--horizon", "0.5", "--schedulers", "bogus"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("repro-eua simulate: error: unknown scheduler 'bogus'")
+        assert "\n" not in err and "EUA*" in err
+
+    def test_stats_unknown_scheduler(self, capsys):
+        rc = main(["stats", "-n", "2", "--horizon", "0.5", "--schedulers", "EUA*", "bogus"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("repro-eua stats: error: unknown scheduler 'bogus'")
 
     def test_bound(self, capsys):
         rc = main(["bound", "--load", "0.5", "--horizon", "1.0"])
@@ -211,7 +220,7 @@ class TestArrivalShapes:
     def test_arrivals_lists_the_registry(self, capsys):
         assert main(["arrivals"]) == 0
         out = capsys.readouterr().out
-        for name in ("nhpp-diurnal", "flash-crowd", "pareto", "trace-loop"):
+        for name in ("nhpp-diurnal", "flash-crowd", "pareto"):
             assert name in out
 
     def test_arrivals_arg_parses_name_and_params(self):

@@ -1,6 +1,6 @@
 """Tests for reporting helpers (repro.experiments.reporting)."""
 
-from repro.experiments import ascii_table, rows_to_csv, series_chart
+from repro.experiments import ascii_table, series_chart
 
 
 class TestAsciiTable:
@@ -44,15 +44,3 @@ class TestSeriesChart:
     def test_values_above_ymax_clamped(self):
         out = series_chart({"s": [(1, 5.0)]}, width=10, y_max=1.0)
         assert out.splitlines()[1].count("#") == 10
-
-
-class TestCsv:
-    def test_header_and_rows(self):
-        out = rows_to_csv([{"a": 1, "b": 0.5}], ["a", "b"])
-        lines = out.strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,0.5"
-
-    def test_float_formatting(self):
-        out = rows_to_csv([{"x": 1 / 3}], ["x"])
-        assert "0.333333" in out

@@ -46,7 +46,7 @@ class TestArrivalShape:
             ArrivalShape.parse("no-such-shape")
 
     def test_trace_shapes_rejected(self):
-        # Trace shapes need explicit times; they are not sweepable.
+        # Recorded-trace replay is not a registered shape.
         with pytest.raises(ValueError):
             ArrivalShape("trace")
 

@@ -80,18 +80,6 @@ def test_partition_respected(platform2):
             assert core_of[job.task.name] == core
 
 
-def test_auto_cores_powers_down_spare_cores(small_taskset, rng):
-    # Load 0.6 on 4 cores: the config search finds a feasible active set
-    # and the engine only instantiates that many processors.
-    trace = materialize(small_taskset, 0.3, rng)
-    platform = MulticorePlatform.from_platform(Platform(), cores=4)
-    result = simulate_partitioned(trace, "EUA*", platform, auto_cores=True)
-    assert result.configuration is not None
-    assert result.configuration.feasible
-    assert len(result.per_core_stats) == result.configuration.cores
-    assert result.configuration.cores <= 4
-
-
 def test_scheduler_instance_rejected_across_cores(platform2):
     # A stateful scheduler instance cannot be shared between cores; the
     # single-shot factory fails loudly on the second core.

@@ -31,11 +31,6 @@ _FIELDS = {
     EventKind.UAM_VIOLATION: {"task": "T2", "arrivals": 5, "bound": 3},
     EventKind.ADMISSION_DECISION: {"action": "shed", "task": "T2"},
     EventKind.INVARIANT_VIOLATION: {"invariant": "sigma_feasible"},
-    EventKind.SPAN: {"phase": "engine.run/engine.decide", "count": 7,
-                     "total": 0.01, "self_time": 0.008, "p50": 1e-3,
-                     "p99": 2e-3},
-    EventKind.TELEMETRY: {"wall_clock": 1.25, "coverage": 0.99,
-                          "reps_per_second": 12.5, "cache_hit_rate": None},
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "golden"))
 from _harness import CASES, golden_path, record_events_jsonl  # noqa: E402
 
-from repro.obs import Observer, Span, SpanTracer, spans_from_jsonl, spans_to_jsonl  # noqa: E402
+from repro.obs import Observer, Span, SpanTracer  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -81,28 +81,6 @@ def test_aggregate_percentiles_follow_histogram_semantics():
     assert stats.total == 10.0
     assert stats.p50 == 2.0  # nearest-rank: ceil(0.5*4) = rank 2
     assert stats.p99 == 4.0  # p99 saturates to max below n=100
-
-
-def test_spans_jsonl_roundtrip_exact():
-    tr = SpanTracer()
-    with tr.span("root"):
-        with tr.span("child"):
-            pass
-    text = spans_to_jsonl(tr)
-    rebuilt = spans_from_jsonl(text)
-    assert rebuilt.spans == tr.spans
-    assert spans_to_jsonl(rebuilt) == text
-
-
-def test_spans_jsonl_rejects_wrong_type_and_version():
-    with pytest.raises(ValueError):
-        spans_from_jsonl('{"type": "event"}')
-    with pytest.raises(ValueError):
-        spans_from_jsonl(
-            '{"type": "span", "version": 99, "seq": 0, "path": "x", '
-            '"name": "x", "depth": 0, "start": 0.0, "duration": 1.0, '
-            '"self": 1.0}'
-        )
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.obs import (
-    EventKind,
-    EventLog,
     PhaseReport,
     SpanTracer,
     Telemetry,
     build_phase_report,
-    events_from_jsonl,
-    events_to_jsonl,
     phase_report_from_jsonl,
     phase_report_to_jsonl,
 )
@@ -123,20 +119,6 @@ def test_phase_report_version_mismatch_fails_loudly():
     payload["version"] = 2
     with pytest.raises(ValueError, match="version 2"):
         PhaseReport.from_dict(payload)
-
-
-def test_to_events_emits_span_and_telemetry_kinds():
-    report = build_phase_report(_traced_telemetry())
-    log = EventLog()
-    report.to_events(log)
-    kinds = [e.kind for e in log.events]
-    assert kinds.count(EventKind.SPAN) == len(report.phases)
-    assert kinds.count(EventKind.TELEMETRY) == 1
-    summary = log.events[-1]
-    assert summary.fields["coverage"] == pytest.approx(report.coverage())
-    # The emitted events ride the standard JSONL wire format.
-    text = events_to_jsonl(log)
-    assert events_to_jsonl(events_from_jsonl(text)) == text
 
 
 def test_render_mentions_phases_lanes_and_rates():

@@ -63,16 +63,3 @@ def test_config_json_round_trip_preserves_streams(name, spec, seed):
     assert rebuilt.to_config() == gen.to_config()
     assert rebuilt.generate(3.0, np.random.default_rng(seed)) == \
         gen.generate(3.0, np.random.default_rng(seed))
-
-
-@given(specs, seeds, st.floats(min_value=0.5, max_value=4.0))
-@settings(max_examples=60, deadline=None)
-def test_trace_loop_round_trip_and_compliance(spec, seed, horizon):
-    rng = np.random.default_rng(seed)
-    cycle = 1.0
-    base = sorted(float(t) for t in rng.uniform(0.0, cycle, size=5))
-    gen = create_arrival_generator("trace-loop", times=base, cycle=cycle)
-    times = gen.generate_checked(horizon)
-    assert is_uam_compliant(times, gen.spec)
-    rebuilt = generator_from_config(json.loads(json.dumps(generator_config(gen))))
-    assert rebuilt.generate(horizon) == times

@@ -29,7 +29,7 @@ from repro.cpu import EnergyModel, FrequencyScale, Processor
 from repro.demand import NormalDemand
 from repro.sched import DASA, EDFStatic
 from repro.sim import Engine, JobStatus, Task, TaskSet, WorkloadTrace, materialize
-from repro.tuf import ScaledTUF, StepTUF
+from repro.tuf import StepTUF
 
 
 def _step_taskset(load, params):
@@ -142,7 +142,8 @@ def test_uniform_utility_scaling_invariance(scenario, factor):
     utility by exactly that constant and changes no decision."""
     taskset, seed = scenario
     scaled_tasks = TaskSet(
-        Task(t.name, ScaledTUF(t.tuf, factor), t.demand, t.uam, nu=t.nu, rho=t.rho)
+        Task(t.name, StepTUF(factor * t.tuf.height, t.tuf.deadline), t.demand, t.uam,
+             nu=t.nu, rho=t.rho)
         for t in taskset
     )
     base = _run(taskset, seed, EUAStar())
