@@ -29,6 +29,14 @@ deterministic burst-overload ready set and times, in µs per operation
   residual views; the engine's own views copy the job lifecycle's
   pending index instead).
 
+One more row, ``rank``, times EUA*'s lines 10–11 and the UER sort
+(``EUAStar._rank``) in µs per decision over every decision of one real
+burst-overload trace (the repository benchmark's first, seed 11): the
+full pass every ready job goes through when the rank is not kept, and
+the rank EUA* keeps between decisions.  Both arms make the same
+decisions; the row also prints how many there are and their mean
+ready-set size.
+
 Beside the timings it prints the deterministic shape of the full
 construction: mean σ length at probe time, mean suffix length (σ
 entries at or after the candidate's insertion point, the part a probe
@@ -57,6 +65,7 @@ import numpy as np  # noqa: E402
 
 from _artifacts import write_bench_artifact  # noqa: E402
 from repro.core import (  # noqa: E402
+    EUAStar,
     IncrementalSchedule,
     insert_by_critical_time,
     job_feasible,
@@ -66,8 +75,9 @@ from repro.core import (  # noqa: E402
     schedule_feasible_reference,
 )
 from repro.cpu import EnergyModel, FrequencyScale  # noqa: E402
-from repro.experiments import synthesize_taskset  # noqa: E402
-from repro.sim import Job  # noqa: E402
+from repro.experiments import WorkloadSpec, synthesize_taskset  # noqa: E402
+from repro.experiments.parallel import PlatformSpec  # noqa: E402
+from repro.sim import Job, simulate  # noqa: E402
 from repro.sim.scheduler import SchedulerView, SchedulingEvent  # noqa: E402
 
 SIZES = (8, 32, 128, 512)
@@ -229,6 +239,46 @@ def bench_size(n: int) -> Dict[str, float]:
     }
 
 
+class _TimedRank(EUAStar):
+    """EUA* that times its rank; ``keep=False`` ranks every decision
+    with the full pass."""
+
+    def __init__(self, keep: bool):
+        super().__init__()
+        if not keep:
+            self._keep_min_ready = float("inf")
+        self.seconds = 0.0
+        self.calls = 0
+        self.ready = 0
+
+    def _rank(self, view, t, f_m):
+        t0 = time.perf_counter()
+        out = super()._rank(view, t, f_m)
+        self.seconds += time.perf_counter() - t0
+        self.calls += 1
+        self.ready += len(view.ready)
+        return out
+
+
+def bench_rank() -> Dict[str, float]:
+    """Best-of-``BATCHES`` µs per decision of ``EUAStar._rank``, full
+    pass and kept, over one burst-overload trace."""
+    trace = WorkloadSpec(load=1.6, seed=SEED * 1000, horizon=1.5, arrival_mode="burst",
+                         burst_override=8).build()[1]
+    platform = PlatformSpec().build()
+    row: Dict[str, float] = {}
+    for arm, keep in (("full", False), ("kept", True)):
+        best = float("inf")
+        for _ in range(BATCHES):
+            policy = _TimedRank(keep)
+            simulate(trace, policy, platform)
+            best = min(best, policy.seconds / policy.calls)
+        row[f"rank_{arm}_us"] = best * 1e6
+    row["rank_decisions"] = float(policy.calls)
+    row["rank_ready_mean"] = policy.ready / policy.calls
+    return row
+
+
 def main() -> int:
     columns = ("construct_incremental_us", "construct_reference_us", "construct_head_us",
                "probe_us", "probe_suffix", "probe_accepted", "lookahead_us", "demand_us",
@@ -243,6 +293,11 @@ def main() -> int:
         row = bench_size(n)
         print(f"{n:>12}  " + "  ".join(f"{row[c]:>12.4g}" for c in columns))
         metrics.update({f"n{n}_{key}": value for key, value in row.items()})
+    rank = bench_rank()
+    print(f"rank: {rank['rank_decisions']:.0f} decisions of one burst-overload trace, "
+          f"mean ready {rank['rank_ready_mean']:.1f}: full pass {rank['rank_full_us']:.2f} us, "
+          f"kept {rank['rank_kept_us']:.2f} us per decision")
+    metrics.update(rank)
     path = write_bench_artifact(
         "sigma_kernels", metrics,
         directions={k: "lower" for k in metrics if k.endswith("_us")},

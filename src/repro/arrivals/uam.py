@@ -90,10 +90,6 @@ class UAMSpec:
         """Worst-case long-run arrival rate ``a / P`` (jobs per second)."""
         return self.max_arrivals / self.window
 
-    def admits(self, times: Sequence[float]) -> bool:
-        """Whether the sorted arrival sequence complies with this spec."""
-        return is_uam_compliant(times, self)
-
     def scaled(self, time_factor: float) -> "UAMSpec":
         """Return the spec with its window stretched by ``time_factor``."""
         if time_factor <= 0.0:

@@ -33,6 +33,8 @@ infeasible jobs to expire on their own.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import EventKind
@@ -40,6 +42,7 @@ from ..sim.scheduler import Decision, Scheduler, SchedulerView
 from ..sim.job import Job
 from ..sim.task import TaskSet
 from ..cpu import EnergyModel, FrequencyScale
+from ..tuf import StepTUF
 from .decide_freq import decide_freq
 from .feasibility import (
     IncrementalSchedule,
@@ -91,8 +94,144 @@ def _utility_density(job: Job, now: float, f_max: float, model: EnergyModel) -> 
     return job.utility_at(now + c / f_max) / c
 
 
+#: A kept step-TUF ranking is reused strictly before its job's latest
+#: constant-UER instant less this share of ``max(1, termination)``:
+#: far above the few ulps the UER and feasibility expressions round by.
+_KEEP_MARGIN = 1e-9
+
+
+class _KeptRank:
+    """EUA*'s ``(aborts, skipped, ranked)`` kept across the decisions of
+    one run over a task set whose every TUF is a step (see
+    :meth:`EUAStar._rank`).
+
+    ``stamps`` maps each kept job to ``(executed, allocation, release,
+    valid_until, neg, seq)``: the state it was ranked at, the instant
+    before which that ranking still holds, its negated UER (``None``
+    for an individually infeasible job) and its admission number.
+    ``ranked`` is in sort-key order ``(-uer, critical_time, release,
+    index, seq)`` and ``negs`` holds each entry's ``-uer``, for bisection.
+    """
+
+    __slots__ = ("uer", "time", "stamps", "negs", "ranked", "seq")
+
+    def __init__(self):
+        # The module global at build time: the mutation harness swaps
+        # ``job_uer``, and a swap must start the rank over.
+        self.uer = job_uer
+        self.time = -math.inf
+        self.stamps: Dict[Job, tuple] = {}
+        self.negs: List[float] = []
+        self.ranked: List[Tuple[float, float, Job]] = []
+        self.seq = 0
+
+    def current(self, t: float) -> bool:
+        """Whether this rank may serve a decision at ``t``."""
+        return t >= self.time and job_uer is self.uer
+
+    def _remove(self, job: Job, neg: float) -> None:
+        negs, ranked = self.negs, self.ranked
+        i = bisect_left(negs, neg)
+        while ranked[i][2] is not job:  # past entries of equal UER
+            i += 1
+        del negs[i]
+        del ranked[i]
+
+    def _insert(self, job: Job, uer: float, stamp: tuple) -> None:
+        """Place ``job`` by its key; ``stamp`` is its new stamp."""
+        negs, ranked, stamps = self.negs, self.ranked, self.stamps
+        neg = stamp[4]
+        i = bisect_left(negs, neg)
+        if i < len(negs) and negs[i] == neg:  # a UER tie: the rest of the key
+            rest = (job.critical_time, stamp[2], job.index, stamp[5])
+            while i < len(negs) and negs[i] == neg:
+                crit, other = ranked[i][1], ranked[i][2]
+                kept = stamps[other]
+                if (crit, kept[2], other.index, kept[5]) > rest:
+                    break
+                i += 1
+        negs.insert(i, neg)
+        ranked.insert(i, (uer, job.critical_time, job))
+
+    def update(self, ready: List[Job], t: float, f_m: float, model: EnergyModel,
+               abort_infeasible: bool):
+        """The rank at ``t`` over ``ready``, or ``None`` when ``ready``
+        is not in admission order (the caller then starts over).
+
+        Only jobs that are new, changed (executed cycles, allocation or
+        release) or past their valid-until instant are ranked afresh;
+        the rest keep their verdict and key.  A feasible step-TUF job's
+        UER ``height / (E(f_m) · max(c, MIN_UER_CYCLES))`` and its
+        feasibility hold until ``termination − c/f_m``, and an
+        infeasible job stays infeasible as time only grows.
+        """
+        self.time = t
+        stamps = self.stamps
+        # Popped as ready is walked: what is left are the jobs that left.
+        gone = stamps.copy()
+        pop = gone.pop
+        aborts: List[Job] = []
+        skipped: List[Job] = []
+        last = -1
+        for job in ready:
+            stamp = pop(job, None)
+            if stamp is None:
+                seq = last = self.seq
+                self.seq = seq + 1
+            else:
+                seq = stamp[5]
+                if seq < last:
+                    return None
+                last = seq
+                # Identity, not equality: a stamp holds the very floats it
+                # saw, and an equal float reassigned only costs a re-rank.
+                if (t < stamp[3] and stamp[0] is job.executed
+                        and stamp[1] is job.task._allocation and stamp[2] is job._release):
+                    if stamp[4] is None:
+                        skipped.append(job)
+                        if abort_infeasible and job.task.abortable:
+                            aborts.append(job)
+                    continue
+                if stamp[4] is not None:
+                    self._remove(job, stamp[4])
+            task = job.task
+            if not job_feasible(job, t, f_m):
+                stamps[job] = (job.executed, task._allocation, job._release, math.inf,
+                               None, seq)
+                skipped.append(job)
+                if abort_infeasible and task.abortable:
+                    aborts.append(job)
+                continue
+            uer = self.uer(job, t, f_m, model)
+            executed = job.executed
+            alloc = task._allocation
+            release = job._release
+            if t >= release:
+                c = alloc - executed
+                if c < MIN_UER_CYCLES:
+                    c = MIN_UER_CYCLES
+                term = job.termination  # > 0: release >= 0 and X > 0
+                until = term - c / f_m - _KEEP_MARGIN * (term if term > 1.0 else 1.0)
+            else:  # a deferred release admitted a hair early: rank it each time
+                until = -math.inf
+            stamp = stamps[job] = (executed, alloc, release, until, -uer, seq)
+            self._insert(job, uer, stamp)
+        for job, stamp in gone.items():
+            del stamps[job]
+            if stamp[4] is not None:
+                self._remove(job, stamp[4])
+        return aborts, skipped, self.ranked
+
+
 class EUAStar(Scheduler):
     """The paper's contribution. See module docstring."""
+
+    #: Fewest ready jobs the kept rank serves; smaller sets get the full
+    #: pass.  Between two decisions up to m jobs run, and re-keying one
+    #: costs about 2.5 times ranking it afresh (four of about twelve on
+    #: four cores make the kept rank the slower of the two), so a small
+    #: ready set gains nothing from being kept.
+    _keep_min_ready = 32
 
     def __init__(
         self,
@@ -121,11 +260,18 @@ class EUAStar(Scheduler):
         #: Both paths are decision-for-decision bit-identical.
         self.incremental = bool(incremental)
         self._params: Dict[str, TaskParams] = {}
+        #: Whether :meth:`_rank` keeps its rank between decisions (set
+        #: by :meth:`setup`), and the kept rank itself.
+        self._keeps_rank = False
+        self._kept: Optional[_KeptRank] = None
 
     # ------------------------------------------------------------------
     def setup(self, taskset: TaskSet, scale: FrequencyScale, energy_model: EnergyModel) -> None:
         """``offlineComputing(T)`` (line 3)."""
         self._params = offline_computing(taskset, scale, energy_model)
+        self._keeps_rank = (self.incremental and self.ordering == "uer"
+                            and all(type(task.tuf) is StepTUF for task in taskset))
+        self._kept = None
 
     @property
     def params(self) -> Dict[str, TaskParams]:
@@ -217,8 +363,18 @@ class EUAStar(Scheduler):
         filters them by its own membership.  Same instant and job
         states give the same metrics, and the sort key is total up to
         ready order, which ``without()`` keeps, so this equals a fresh
-        pass.  The same view asking again, or a view holding jobs the
-        stored lists lack, gets a fresh pass.
+        pass.  A derived view holding jobs the stored lists lack gets a
+        fresh pass.
+
+        Across events, with every task's TUF a step, the UER ordering
+        of the incremental path and at least :attr:`_keep_min_ready`
+        ready jobs, the rank is kept between decisions
+        (:class:`_KeptRank`): only new jobs, jobs that ran or
+        were reallocated, and jobs past their valid-until instant are
+        ranked afresh.  An admission number stands in for the stable
+        sort's ready-order tiebreak.  The kept rank starts over on
+        :meth:`setup`, when time goes backwards and when ``job_uer`` is
+        swapped.  ``incremental=False`` keeps the full pass: the oracle.
         """
         memo = view.memo
         entry = memo.get(self)
@@ -231,6 +387,17 @@ class EUAStar(Scheduler):
                 aborts = [j for j in entry[1] if j in keep]
                 memo[self] = (id(view), aborts, skipped, ranked)
                 return aborts, skipped, ranked
+        elif self._keeps_rank and len(ready) >= self._keep_min_ready:
+            args = (ready, t, f_m, view.energy_model, self.abort_infeasible)
+            kept = self._kept
+            if kept is None or not kept.current(t):
+                kept = self._kept = _KeptRank()
+            result = kept.update(*args)
+            if result is None:  # ready out of admission order: start over
+                self._kept = _KeptRank()
+                result = self._kept.update(*args)
+            memo[self] = (id(view), *result)
+            return result
 
         model = view.energy_model
         abort_infeasible = self.abort_infeasible

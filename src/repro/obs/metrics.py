@@ -189,9 +189,6 @@ class MetricsRegistry:
         """All counters sharing ``name`` (e.g. one per frequency label)."""
         return {k: c for k, c in self._counters.items() if k[0] == name}
 
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
-
     # ------------------------------------------------------------------
     # Aggregation across repetitions
     # ------------------------------------------------------------------

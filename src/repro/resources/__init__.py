@@ -1,11 +1,10 @@
 """Shared-resource scheduling (the EMSOFT'04 companion dimension)."""
 
 from .audit import ExclusionViolation, audit_mutual_exclusion
-from .model import Resource, ResourceError, ResourceMap
+from .model import ResourceError, ResourceMap
 from .reua import REUA
 
 __all__ = [
-    "Resource",
     "ResourceMap",
     "ResourceError",
     "REUA",

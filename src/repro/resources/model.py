@@ -5,8 +5,8 @@ Theorem 2–5 proofs ("Energy-Efficient, Utility Accrual Scheduling under
 Resource Constraints").  This package implements that dimension in its
 clean single-unit form:
 
-* a :class:`Resource` is a serially reusable, single-unit, non-
-  preemptable resource (a lock, a DMA channel, a radio);
+* a resource, named by a string, is serially reusable, single-unit
+  and non-preemptable (a lock, a DMA channel, a radio);
 * a task declares the set of resources each of its jobs holds for the
   *whole* of its execution (whole-job critical sections — acquisition
   when the job first runs, release when it completes or is aborted).
@@ -24,28 +24,16 @@ that no two holders of a resource ever interleaved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
 
 from ..sim.job import Job
 from ..sim.scheduler import SchedulerView
 
-__all__ = ["Resource", "ResourceMap", "ResourceError"]
+__all__ = ["ResourceMap", "ResourceError"]
 
 
 class ResourceError(ValueError):
     """Raised for ill-formed resource declarations."""
-
-
-@dataclass(frozen=True)
-class Resource:
-    """A serially reusable, single-unit resource."""
-
-    name: str
-
-    def __post_init__(self):
-        if not self.name:
-            raise ResourceError("resource name must be non-empty")
 
 
 class ResourceMap:
@@ -69,9 +57,6 @@ class ResourceMap:
     # ------------------------------------------------------------------
     def resources_of(self, task_name: str) -> FrozenSet[str]:
         return self._req.get(task_name, frozenset())
-
-    def uses_resources(self, task_name: str) -> bool:
-        return bool(self.resources_of(task_name))
 
     @property
     def all_resources(self) -> Set[str]:

@@ -357,10 +357,6 @@ class SimulationResult:
     trace: Optional[Trace] = None
 
     @property
-    def normalized_utility(self) -> float:
-        return self.metrics.normalized_utility
-
-    @property
     def energy(self) -> float:
         return self.metrics.energy
 

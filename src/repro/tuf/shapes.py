@@ -202,10 +202,6 @@ class MultiStepTUF(TUF):
         self._ts = ts
         self._us = us
 
-    @property
-    def steps(self) -> List[Tuple[float, float]]:
-        return list(zip(self._ts, self._us))
-
     def _utility(self, t: float) -> float:
         for drop_t, u in zip(self._ts, self._us):
             if t < drop_t:

@@ -40,9 +40,10 @@ from repro.core import (
 from repro.cpu import EnergyModel, FrequencyScale, Processor
 from repro.demand import DeterministicDemand, NormalDemand
 from repro.experiments import synthesize_taskset
+from repro.experiments.adaptive import drifting_trace
 from repro.mp import GlobalEngine, MulticorePlatform
 from repro.obs import Observer, events_to_jsonl
-from repro.runtime import ViolationPolicy
+from repro.runtime import AdaptiveRuntime, RuntimeConfig, ViolationPolicy
 from repro.sim import Engine, Job, Platform, Task, TaskSet, materialize
 from repro.sim.engine import EPS_TIME
 from repro.sim.scheduler import (
@@ -59,11 +60,13 @@ from repro.tuf import LinearTUF, StepTUF
 # Strategies
 # ----------------------------------------------------------------------
 @st.composite
-def uam_scenarios(draw, non_abortable=False):
+def uam_scenarios(draw, non_abortable=False, step_only=False):
     """A synthesised UAM task set (mixed burst sizes) plus a seed.
 
     With ``non_abortable`` each task is drawn abortable or not, so
-    individually infeasible jobs the policy may not abort stay ready."""
+    individually infeasible jobs the policy may not abort stay ready.
+    With ``step_only`` every TUF is a step, so EUA* keeps its rank
+    between decisions; otherwise step and linear TUFs mix."""
     n = draw(st.integers(min_value=2, max_value=5))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     load = draw(st.floats(min_value=0.3, max_value=1.8))
@@ -73,7 +76,7 @@ def uam_scenarios(draw, non_abortable=False):
         umax = draw(st.floats(min_value=1.0, max_value=80.0))
         a = draw(st.integers(min_value=1, max_value=3))
         mean = window * 60.0
-        if draw(st.booleans()):
+        if step_only or draw(st.booleans()):
             tuf, nu = StepTUF(umax, window), 1.0
         else:
             tuf, nu = LinearTUF(umax, window), 0.3
@@ -128,18 +131,57 @@ def _assert_pending_matches(view):
         assert head is (reference[0] if reference else None)
 
 
+def _reference_rank(policy, view):
+    """Lines 10–11 and the UER sort as one fresh pass through the
+    reference kernels: the oracle for the rank EUA* keeps."""
+    t, f_m, model = view.time, view.scale.f_max, view.energy_model
+    aborts, skipped, ranked = [], [], []
+    for job in view.ready:
+        if not job_feasible_reference(job, t, f_m):
+            if policy.abort_infeasible and job.task.abortable:
+                aborts.append(job)
+            skipped.append(job)
+            continue
+        ranked.append((job_uer_reference(job, t, f_m, model), job.critical_time, job))
+    ranked.sort(key=lambda e: (-e[0], e[1], e[2].release, e[2].index))
+    return aborts, skipped, ranked
+
+
+def _comparable(rank):
+    aborts, skipped, ranked = rank
+    return ([id(j) for j in aborts], [id(j) for j in skipped],
+            [(metric, crit, id(job)) for metric, crit, job in ranked])
+
+
 class _KernelProbe(EUAStar):
     """EUA* that differentially tests every kernel on each live view
     *before* deciding (the view is a frozen snapshot, but the Job
     objects mutate as the run advances — so the comparison must happen
     at decision time, not post-hoc).  It probes the view the caller
     hands it, the ``without(aborts)`` view its decideFreq step reads,
-    and, under global dispatch, every per-core residual view."""
+    and, under global dispatch, every per-core residual view.  Every
+    ``(aborts, skipped, ranked)`` EUA* ranks with, kept between
+    decisions or not, must equal a fresh pass through the reference
+    kernels; ``kept`` counts the decisions the kept rank served and
+    ``ranks`` every rank.  ``keep_from`` lowers the ready-set size the
+    kept rank starts at, so small scenarios exercise it too."""
 
-    def __init__(self, **kwargs):
+    def __init__(self, keep_from=None, **kwargs):
         super().__init__(**kwargs)
+        if keep_from is not None:
+            self._keep_min_ready = keep_from
         self.probes = 0
         self.derived = 0
+        self.kept = 0
+        self.ranks = 0
+
+    def _rank(self, view, t, f_m):
+        first = view.memo.get(self) is None
+        got = super()._rank(view, t, f_m)
+        assert _comparable(got) == _comparable(_reference_rank(self, view))
+        self.kept += first and self._keeps_rank and len(view.ready) >= self._keep_min_ready
+        self.ranks += 1
+        return got
 
     def decide(self, view):
         t = view.time
@@ -186,9 +228,35 @@ def test_kernels_match_references_on_live_views(scenario):
     rng = np.random.default_rng(seed)
     trace = materialize(taskset, 1.0, rng)
     cpu = Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())
-    probe = _KernelProbe()
+    probe = _KernelProbe(keep_from=0)
     Engine(trace, probe, cpu).run()
     assert probe.probes > 0  # the shim actually saw decision points
+
+
+@pytest.mark.parametrize("non_abortable", [False, True])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_kept_rank_matches_a_fresh_pass(non_abortable, data):
+    """Step TUFs only: the rank EUA* keeps between decisions equals a
+    fresh reference pass at every decision (the mixed scenarios above
+    cover the full-pass fallback)."""
+    taskset, seed = data.draw(uam_scenarios(non_abortable=non_abortable, step_only=True))
+    trace = materialize(taskset, 1.0, np.random.default_rng(seed))
+    probe = _KernelProbe(keep_from=0)
+    Engine(trace, probe, Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())).run()
+    assert probe.kept > 0
+
+
+def test_kept_rank_resumes_across_small_ready_sets():
+    """UAM bursts at overload: the ready set crosses the kept rank's
+    floor both ways, so the rank kept before a stretch of full passes
+    serves again after it, still equal to a fresh pass."""
+    rng = np.random.default_rng(11)
+    taskset = synthesize_taskset(1.6, rng, arrival_mode="burst", burst_override=8)
+    trace = materialize(taskset, 0.6, rng)
+    probe = _KernelProbe()
+    Engine(trace, probe, Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())).run()
+    assert 0 < probe.kept < probe.ranks
 
 
 def test_probe_sees_derived_views():
@@ -217,12 +285,38 @@ def test_kernels_match_references_under_global_dispatch(scenario):
     assert probe.probes > 0
 
 
+@given(uam_scenarios(non_abortable=True, step_only=True))
+@settings(max_examples=8, deadline=None)
+def test_kept_rank_matches_a_fresh_pass_under_global_dispatch(scenario):
+    """At m = 2 the first selection call of an event reads the kept rank
+    and the later ones filter it through the per-event memo."""
+    taskset, seed = scenario
+    taskset = taskset.scaled_to_load(taskset.load(1000.0) * 2, 1000.0)
+    trace = materialize(taskset, 0.5, np.random.default_rng(seed))
+    probe = _KernelProbe(keep_from=0)
+    GlobalEngine(trace, probe, MulticorePlatform.from_platform(Platform(), cores=2)).run()
+    assert probe.kept > 0
+
+
+def test_kept_rank_matches_a_fresh_pass_across_reallocations():
+    """The adaptive runtime re-derives a drifting task's allocation
+    mid-run (``task._allocation`` changes and EUA* is set up again);
+    the kept rank still equals a fresh pass at every decision."""
+    trace = drifting_trace(seed=11, load=0.9, horizon=1.0)
+    probe = _KernelProbe(keep_from=0)
+    runtime = AdaptiveRuntime(RuntimeConfig(admission=False))
+    Engine(trace, probe, Processor(FrequencyScale.powernow_k6(), EnergyModel.e1()),
+           runtime=runtime).run()
+    assert runtime.summary()["reallocations"] > 0
+    assert probe.kept > 0
+
+
 def test_kernels_match_references_in_a_service_session():
     """The service drives the same lifecycle through its admission
     gate (evictions and deferrals included); probe each of its views."""
     rng = np.random.default_rng(7)
     trace = materialize(synthesize_taskset(1.2, rng), 1.0, rng)
-    probe = _KernelProbe()
+    probe = _KernelProbe(keep_from=0)
     core = ServiceCore(trace.taskset, Platform(), probe,
                        policy=ViolationPolicy.parse("defer"))
     specs = list(trace)
@@ -247,6 +341,7 @@ def test_kernels_match_references_in_a_service_session():
             core.complete_if_done(job, t_next)
         t = t_next
     assert probe.probes > 0 and core.counters["completed"] > 0
+    assert probe.kept > 0
 
 
 @given(uam_scenarios())
@@ -509,3 +604,67 @@ def test_second_decide_on_same_view_recomputes():
     assert again.job is want.job is job_b
     assert again.frequency == want.frequency
     assert again.aborts == want.aborts == ()
+
+
+# ----------------------------------------------------------------------
+# The kept rank on hand-built views
+# ----------------------------------------------------------------------
+def _alike_jobs():
+    """Two tasks alike in every parameter, one job each released at 0:
+    equal UER, critical time, release and index, so only their order in
+    ``ready`` ranks them."""
+    scale, model = FrequencyScale.powernow_k6(), EnergyModel.e1()
+    tasks = [Task(name, StepTUF(10.0, 1.0), DeterministicDemand(0.2 * scale.f_max),
+                  UAMSpec(1, 1.0)) for name in ("A", "B")]
+    taskset = TaskSet(tasks)
+    policy = EUAStar()
+    policy._keep_min_ready = 0  # keep the rank of two jobs too
+    policy.setup(taskset, scale, model)
+    jobs = [Job(task, 0, 0.0, task.allocation) for task in tasks]
+
+    def rank(ready, t):
+        view = SchedulerView(t, ready, taskset, scale, model,
+                             SchedulingEvent.ARRIVAL, {"A": [0.0], "B": [0.0]})
+        got = policy._rank(view, t, scale.f_max)
+        assert got[2] is policy._kept.ranked  # served by the kept rank
+        assert _comparable(got) == _comparable(_reference_rank(policy, view))
+        return got
+
+    return policy, jobs, rank
+
+
+def test_kept_rank_breaks_ties_in_ready_order():
+    """A view that lists kept jobs in another order than they were
+    admitted in starts the rank over: ties follow the new order."""
+    policy, (a, b), rank = _alike_jobs()
+    assert policy._keeps_rank
+    for ready in ([a, b], [b, a], [a, b], [b]):
+        assert [job for _, _, job in rank(ready, 0.0)[2]] == ready
+
+
+def test_kept_rank_follows_reallocation_and_time():
+    """A reallocated task's jobs are ranked afresh even with no new
+    ``setup()``, and a decision at an earlier instant starts over."""
+    policy, (a, b), rank = _alike_jobs()
+    f_max = FrequencyScale.powernow_k6().f_max
+    rank([a, b], 0.0)
+    a.task.reallocate(0.3 * f_max)  # A's UER drops below B's
+    assert [job for _, _, job in rank([a, b], 0.1)[2]] == [b, a]
+    assert rank([a, b], 0.75)[1] == [a]  # 0.3 s of work left at 0.75: too late
+    assert [job for _, _, job in rank([a, b], 0.05)[2]] == [b, a]
+    a.task.reallocate(2.0 * f_max)  # two seconds of work: infeasible
+    aborts, skipped, ranked = rank([a, b], 0.2)
+    assert aborts == skipped == [a] and [job for _, _, job in ranked] == [b]
+
+
+def test_kept_rank_rekeys_a_job_ranked_before_its_release():
+    """A deferred job may be admitted a hair before its release instant:
+    ranked there, a nearly finished job completes "before" its release
+    and its UER reads 0; once time passes the release it must not keep
+    that 0."""
+    _, (a, _), rank = _alike_jobs()
+    task = a.task
+    job = Job(task, 1, 0.5, task.allocation)
+    job.executed = task.allocation  # budget spent: c is MIN_UER_CYCLES
+    assert rank([job], 0.5 - 1e-6)[2][0][0] == 0.0
+    assert rank([job], 0.6)[2][0][0] > 0.0

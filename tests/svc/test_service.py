@@ -56,6 +56,9 @@ def test_ephemeral_port_and_healthz():
 
 
 def test_submit_accept_and_reject_statuses():
+    """An admit is 200 and a burst past the envelope is 429.  The clock
+    all but stands still, so the whole burst lands in one UAM window
+    however slowly the host serves it."""
     async def scenario(service, conn):
         name = service.core.taskset[0].name
         status, body = await conn.request("POST", "/jobs", {"task": name})
@@ -72,7 +75,7 @@ def test_submit_accept_and_reject_statuses():
                 assert json.loads(body)["status"] in ("shed", "rejected")
         assert saw_backpressure
 
-    asyncio.run(_with_service(scenario))
+    asyncio.run(_with_service(scenario, rate=1e-6))
 
 
 def test_bad_submissions_are_400():
