@@ -13,11 +13,6 @@ deterministic burst-overload ready set and times, in µs per operation
 * ``construct_reference`` — the same construction with the naive
   copy-and-rewalk oracle (``insert_by_critical_time`` +
   ``schedule_feasible_reference``);
-* ``construct_head`` — the head-only construction an unobserved EUA*
-  runs: the incremental walk through ``IncrementalSchedule.until_settled``,
-  which stops once no candidate left can land before σ's head (the
-  probes it makes are printed as ``settled probes`` beside ``probes``,
-  the full walk's count);
 * ``probe`` — one ``try_insert``: the middle candidate of the UER
   order probed against σ built from all earlier candidates (its suffix
   length and verdict are printed beside it: a probe rejected on the
@@ -29,13 +24,22 @@ deterministic burst-overload ready set and times, in µs per operation
   residual views; the engine's own views copy the job lifecycle's
   pending index instead).
 
-One more row, ``rank``, times EUA*'s lines 10–11 and the UER sort
-(``EUAStar._rank``) in µs per decision over every decision of one real
-burst-overload trace (the repository benchmark's first, seed 11): the
-full pass every ready job goes through when the rank is not kept, and
-the rank EUA* keeps between decisions.  Both arms make the same
-decisions; the row also prints how many there are and their mean
-ready-set size.
+Three more rows time every decision of one real burst-overload trace
+(the repository benchmark's first, seed 11), in µs per decision; each
+prints how many decisions there are and their mean ready-set size:
+
+* ``rank`` — EUA*'s lines 10–11 and the UER sort (``EUAStar._rank``):
+  the full pass every ready job goes through when the rank is not
+  kept, and the rank EUA* keeps between decisions (both arms make the
+  same decisions);
+* ``construct_head`` — the σ construction an unobserved EUA* runs: the
+  incremental walk through ``IncrementalSchedule.until_settled``, which
+  stops once no candidate left can land before σ's head, on each EUA*
+  decision's ranked jobs as they stood (the probes it makes and the
+  ranked jobs it could have probed are printed beside it);
+* ``pick`` — the EDF arm's job pick: the scan over every ready job
+  (``min(ready, key=_pending_key)``) and ``edf_pick``, which reads the
+  job lifecycle's per-task heads.
 
 Beside the timings it prints the deterministic shape of the full
 construction: mean σ length at probe time, mean suffix length (σ
@@ -53,6 +57,7 @@ every third one a quarter executed.
 
 from __future__ import annotations
 
+import copy
 import os
 import sys
 import time
@@ -77,8 +82,9 @@ from repro.core import (  # noqa: E402
 from repro.cpu import EnergyModel, FrequencyScale  # noqa: E402
 from repro.experiments import WorkloadSpec, synthesize_taskset  # noqa: E402
 from repro.experiments.parallel import PlatformSpec  # noqa: E402
+from repro.sched import EDFStatic, edf_pick  # noqa: E402
 from repro.sim import Job, simulate  # noqa: E402
-from repro.sim.scheduler import SchedulerView, SchedulingEvent  # noqa: E402
+from repro.sim.scheduler import SchedulerView, SchedulingEvent, _pending_key  # noqa: E402
 
 SIZES = (8, 32, 128, 512)
 SEED = 11
@@ -148,10 +154,13 @@ def build_incremental(jobs: Sequence[Job], now: float, f_max: float) -> Incremen
 
 def build_head_only(entries: Sequence[Tuple[float, float, Job]], now: float,
                     f_max: float) -> Tuple[IncrementalSchedule, int]:
-    """σ built until its head is settled, and the probes that took."""
+    """σ built as an unobserved EUA* builds it (until its head is
+    settled or the UER turns non-positive), and the probes that took."""
     sigma = IncrementalSchedule(now, f_max)
     probes = 0
-    for _, _, job in sigma.until_settled(entries):
+    for metric, _, job in sigma.until_settled(entries):
+        if metric <= 0.0:
+            break
         sigma.try_insert(job)
         probes += 1
     return sigma, probes
@@ -214,9 +223,6 @@ def bench_size(n: int) -> Dict[str, float]:
     sigma_len, suffix_len, accept = construction_shape(ranked, now, f_max)
     assert [j.key for j in build_incremental(ranked, now, f_max)] == \
         [j.key for j in build_reference(ranked, now, f_max)]
-    entries = [(0.0, job.critical_time, job) for job in ranked]
-    head_only, settled = build_head_only(entries, now, f_max)
-    assert head_only.head is build_incremental(ranked, now, f_max).head
     middle = len(ranked) // 2
     earlier, probe = ranked[:middle], ranked[middle]
     before = build_incremental(earlier, now, f_max)
@@ -224,7 +230,6 @@ def bench_size(n: int) -> Dict[str, float]:
     return {
         "construct_incremental_us": time_call(lambda: build_incremental(ranked, now, f_max)),
         "construct_reference_us": time_call(lambda: build_reference(ranked, now, f_max)),
-        "construct_head_us": time_call(lambda: build_head_only(entries, now, f_max)),
         "probe_us": time_fresh(lambda: build_incremental(earlier, now, f_max),
                                lambda sigma: sigma.try_insert(probe)),
         "probe_suffix": float(len(crit) - bisect_right(crit, probe.critical_time)),
@@ -232,7 +237,6 @@ def bench_size(n: int) -> Dict[str, float]:
         "lookahead_us": time_fresh(lambda: bare_copy(view), required_rate_lookahead),
         "demand_us": time_fresh(lambda: bare_copy(view), required_rate_demand),
         "probes": float(len(ranked)),
-        "settled_probes": float(settled),
         "sigma_len_mean": sigma_len,
         "suffix_len_mean": suffix_len,
         "accept_ratio": accept,
@@ -260,11 +264,16 @@ class _TimedRank(EUAStar):
         return out
 
 
+def burst_trace():
+    """The repository benchmark's first burst-overload trace."""
+    return WorkloadSpec(load=1.6, seed=SEED * 1000, horizon=1.5, arrival_mode="burst",
+                        burst_override=8).build()[1]
+
+
 def bench_rank() -> Dict[str, float]:
     """Best-of-``BATCHES`` µs per decision of ``EUAStar._rank``, full
     pass and kept, over one burst-overload trace."""
-    trace = WorkloadSpec(load=1.6, seed=SEED * 1000, horizon=1.5, arrival_mode="burst",
-                         burst_override=8).build()[1]
+    trace = burst_trace()
     platform = PlatformSpec().build()
     row: Dict[str, float] = {}
     for arm, keep in (("full", False), ("kept", True)):
@@ -279,14 +288,89 @@ def bench_rank() -> Dict[str, float]:
     return row
 
 
+def time_decisions(decisions: Sequence[object], run: Callable[[object], object]) -> float:
+    """Best-of-``BATCHES`` µs per ``run(decision)`` over ``decisions``."""
+    best = float("inf")
+    for _ in range(BATCHES):
+        t0 = time.perf_counter()
+        for decision in decisions:
+            run(decision)
+        best = min(best, time.perf_counter() - t0)
+    return best / len(decisions) * 1e6
+
+
+class _SigmaRecorder(EUAStar):
+    """EUA* that keeps each decision's σ input with its jobs copied as
+    they stood (the run goes on to execute them), and the head it built."""
+
+    def __init__(self):
+        super().__init__()
+        self.decisions: List[Tuple[float, float, list, object]] = []
+
+    def _build_sigma_incremental(self, ranked, t, f_m, obs, sp):
+        head = super()._build_sigma_incremental(ranked, t, f_m, obs, sp)
+        copies = {id(job): copy.copy(job) for _, _, job in ranked}
+        self.decisions.append((t, f_m, [(m, c, copies[id(job)]) for m, c, job in ranked],
+                               None if head is None else copies[id(head)]))
+        return head
+
+
+def bench_head() -> Dict[str, float]:
+    """Best-of-``BATCHES`` µs per decision of EUA*'s σ construction to
+    a settled head, over one burst-overload trace."""
+    policy = _SigmaRecorder()
+    simulate(burst_trace(), policy, PlatformSpec().build())
+    decisions = policy.decisions
+    probes = 0
+    for t, f_m, entries, head in decisions:
+        sigma, n = build_head_only(entries, t, f_m)
+        assert sigma.head is head
+        probes += n
+    return {
+        "construct_head_us": time_decisions(
+            decisions, lambda d: build_head_only(d[2], d[0], d[1])),
+        "head_decisions": float(len(decisions)),
+        "head_ranked_mean": sum(len(d[2]) for d in decisions) / len(decisions),
+        "head_probes_mean": probes / len(decisions),
+    }
+
+
+class _ViewRecorder(EDFStatic):
+    """The EDF normaliser, keeping every view it decides on."""
+
+    def __init__(self):
+        super().__init__()
+        self.views: List[SchedulerView] = []
+
+    def decide(self, view):
+        if view.ready:
+            self.views.append(view)
+        return super().decide(view)
+
+
+def bench_pick() -> Dict[str, float]:
+    """Best-of-``BATCHES`` µs per EDF pick, scan and heads, over the EDF
+    arm's decisions of one burst-overload trace (a view's membership
+    and the pick's key are frozen, so kept views replay exactly)."""
+    policy = _ViewRecorder()
+    simulate(burst_trace(), policy, PlatformSpec().build())
+    views = policy.views
+    assert all(edf_pick(v) is min(v.ready, key=_pending_key) for v in views)
+    return {
+        "pick_scan_us": time_decisions(views, lambda v: min(v.ready, key=_pending_key)),
+        "pick_heads_us": time_decisions(views, edf_pick),
+        "pick_decisions": float(len(views)),
+        "pick_ready_mean": sum(len(v.ready) for v in views) / len(views),
+    }
+
+
 def main() -> int:
-    columns = ("construct_incremental_us", "construct_reference_us", "construct_head_us",
-               "probe_us", "probe_suffix", "probe_accepted", "lookahead_us", "demand_us",
-               "probes", "settled_probes", "sigma_len_mean", "suffix_len_mean",
-               "accept_ratio")
-    header = ("n", "sigma inc us", "sigma ref us", "head only us", "probe us",
-              "probe suffix", "accepted", "lookahead us", "demand us", "probes",
-              "settled probes", "mean |sigma|", "mean suffix", "accept")
+    columns = ("construct_incremental_us", "construct_reference_us", "probe_us",
+               "probe_suffix", "probe_accepted", "lookahead_us", "demand_us", "probes",
+               "sigma_len_mean", "suffix_len_mean", "accept_ratio")
+    header = ("n", "sigma inc us", "sigma ref us", "probe us", "probe suffix",
+              "accepted", "lookahead us", "demand us", "probes", "mean |sigma|",
+              "mean suffix", "accept")
     print("  ".join(f"{h:>12}" for h in header))
     metrics: Dict[str, float] = {}
     for n in SIZES:
@@ -298,6 +382,16 @@ def main() -> int:
           f"mean ready {rank['rank_ready_mean']:.1f}: full pass {rank['rank_full_us']:.2f} us, "
           f"kept {rank['rank_kept_us']:.2f} us per decision")
     metrics.update(rank)
+    head = bench_head()
+    print(f"construct_head: {head['head_decisions']:.0f} EUA* decisions of that trace: "
+          f"{head['construct_head_us']:.2f} us per decision, "
+          f"{head['head_probes_mean']:.1f} probes of {head['head_ranked_mean']:.1f} ranked")
+    metrics.update(head)
+    pick = bench_pick()
+    print(f"pick: {pick['pick_decisions']:.0f} EDF decisions of that trace, "
+          f"mean ready {pick['pick_ready_mean']:.1f}: scan {pick['pick_scan_us']:.2f} us, "
+          f"heads {pick['pick_heads_us']:.2f} us per decision")
+    metrics.update(pick)
     path = write_bench_artifact(
         "sigma_kernels", metrics,
         directions={k: "lower" for k in metrics if k.endswith("_us")},

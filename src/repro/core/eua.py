@@ -359,12 +359,12 @@ class EUAStar(Scheduler):
 
         Done once per scheduling event: the lists are stored in the
         view's :attr:`~repro.sim.scheduler.SchedulerView.memo` with the
-        view they were made for, and a view derived by ``without()``
-        filters them by its own membership.  Same instant and job
-        states give the same metrics, and the sort key is total up to
-        ready order, which ``without()`` keeps, so this equals a fresh
-        pass.  A derived view holding jobs the stored lists lack gets a
-        fresh pass.
+        view they were made for, and a view ``without()`` derives from
+        that view drops from them the jobs ``without()`` dropped.  Same
+        instant and job states give the same metrics, and the sort key
+        is total up to ready order, which ``without()`` keeps, so this
+        equals a fresh pass.  Any other view of the chain (one whose
+        pending map was read lets go of its parent) gets a fresh pass.
 
         Across events, with every task's TUF a step, the UER ordering
         of the incremental path and at least :attr:`_keep_min_ready`
@@ -380,13 +380,16 @@ class EUAStar(Scheduler):
         entry = memo.get(self)
         ready = view.ready
         if entry is not None and entry[0] != id(view):
-            keep = set(ready)
-            skipped = [j for j in entry[2] if j in keep]
-            ranked = [e for e in entry[3] if e[2] in keep]
-            if len(skipped) + len(ranked) == len(ready):
-                aborts = [j for j in entry[1] if j in keep]
-                memo[self] = (id(view), aborts, skipped, ranked)
-                return aborts, skipped, ranked
+            parent = view._parent
+            if parent is not None and id(parent[0]) == entry[0]:
+                # The lists are the parent view's: drop what without() did.
+                dropped = parent[1]
+                aborts = [j for j in entry[1] if j not in dropped]
+                skipped = [j for j in entry[2] if j not in dropped]
+                ranked = [e for e in entry[3] if e[2] not in dropped]
+                if len(skipped) + len(ranked) == len(ready):
+                    memo[self] = (id(view), aborts, skipped, ranked)
+                    return aborts, skipped, ranked
         elif self._keeps_rank and len(ready) >= self._keep_min_ready:
             args = (ready, t, f_m, view.energy_model, self.abort_infeasible)
             kept = self._kept

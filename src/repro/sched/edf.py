@@ -26,10 +26,33 @@ def edf_pick(view: SchedulerView) -> Optional[Job]:
     Expired jobs that a no-abort policy left pending keep their old
     critical times and therefore sort first — the cause of the domino
     effect the paper attributes to `-NA` during overloads.
+
+    A view that already holds its pending map (every job lifecycle view)
+    with fewer task groups than ready jobs is answered from the groups'
+    heads; any other view is scanned (with no fewer groups than jobs
+    the ready set is small, and the scan is usually the cheaper walk).
+    Both give the same job.
     """
-    if not view.ready:
+    ready = view.ready
+    if not ready:
         return None
-    return min(view.ready, key=_pending_key)
+    pending = view._pending
+    if pending is None or len(pending) >= len(ready):
+        return min(ready, key=_pending_key)
+    # Each group is sorted by ``_pending_key`` with equal keys in ready
+    # order, so the least task head is the scan's pick — unless two
+    # heads tie on the whole key: then the scan finds the one first in
+    # ready order.
+    best = None
+    tie = False
+    for group in pending.values():
+        if group:
+            key = _pending_key(group[0])
+            if best is None or key < best_key:
+                best, best_key, tie = group[0], key, False
+            elif key == best_key:
+                tie = True
+    return min(ready, key=_pending_key) if tie else best
 
 
 class EDFStatic(Scheduler):

@@ -44,12 +44,14 @@ from repro.experiments.adaptive import drifting_trace
 from repro.mp import GlobalEngine, MulticorePlatform
 from repro.obs import Observer, events_to_jsonl
 from repro.runtime import AdaptiveRuntime, RuntimeConfig, ViolationPolicy
+from repro.sched import edf_pick, make_scheduler
 from repro.sim import Engine, Job, Platform, Task, TaskSet, materialize
 from repro.sim.engine import EPS_TIME
 from repro.sim.scheduler import (
     ArrivalWindow,
     SchedulerView,
     SchedulingEvent,
+    _pending_key,
     pending_of_reference,
 )
 from repro.svc import ServiceCore
@@ -311,13 +313,10 @@ def test_kept_rank_matches_a_fresh_pass_across_reallocations():
     assert probe.kept > 0
 
 
-def test_kernels_match_references_in_a_service_session():
-    """The service drives the same lifecycle through its admission
-    gate (evictions and deferrals included); probe each of its views."""
-    rng = np.random.default_rng(7)
-    trace = materialize(synthesize_taskset(1.2, rng), 1.0, rng)
-    probe = _KernelProbe(keep_from=0)
-    core = ServiceCore(trace.taskset, Platform(), probe,
+def _serve(trace, scheduler):
+    """Drive ``trace`` through a ``ServiceCore`` at literal times (the
+    defer policy, so deferrals and evictions happen); the core."""
+    core = ServiceCore(trace.taskset, Platform(), scheduler,
                        policy=ViolationPolicy.parse("defer"))
     specs = list(trace)
     i, t = 0, 0.0
@@ -340,8 +339,90 @@ def test_kernels_match_references_in_a_service_session():
         if job is not None:
             core.complete_if_done(job, t_next)
         t = t_next
+    return core
+
+
+def test_kernels_match_references_in_a_service_session():
+    """The service drives the same lifecycle through its admission
+    gate (evictions and deferrals included); probe each of its views."""
+    rng = np.random.default_rng(7)
+    trace = materialize(synthesize_taskset(1.2, rng), 1.0, rng)
+    probe = _KernelProbe(keep_from=0)
+    core = _serve(trace, probe)
     assert probe.probes > 0 and core.counters["completed"] > 0
     assert probe.kept > 0
+
+
+# ----------------------------------------------------------------------
+# EDF-order picks: the per-task heads vs the scan over ready
+# ----------------------------------------------------------------------
+#: The policies that dispatch through ``edf_pick``.
+EDF_FAMILY = ("EDF", "LA-EDF", "LA-EDF-NA", "Static-EDF", "ccEDF")
+
+
+def _pick_probe(name):
+    """``name``'s policy, checking at every decision, before it decides,
+    that ``edf_pick`` picks the job the scan over ``ready`` picks.
+    ``picks`` counts the checked decisions, ``heads`` those whose view
+    ``edf_pick`` answers from the per-task heads."""
+    policy = make_scheduler(name)
+    decide = policy.decide
+    policy.picks = policy.heads = 0
+
+    def probed(view):
+        if view.ready:
+            assert edf_pick(view) is min(view.ready, key=_pending_key)
+            pending = view._pending
+            policy.picks += 1
+            policy.heads += pending is not None and len(pending) < len(view.ready)
+        return decide(view)
+
+    policy.decide = probed
+    return policy
+
+
+def _burst_trace(seed, horizon):
+    rng = np.random.default_rng(seed)
+    taskset = synthesize_taskset(1.6, rng, arrival_mode="burst", burst_override=8)
+    return materialize(taskset, horizon, rng)
+
+
+@pytest.mark.parametrize("name", EDF_FAMILY)
+def test_edf_pick_matches_the_scan(name):
+    """Uniprocessor burst overload: every view is a lifecycle view, and
+    most hold more ready jobs than tasks, so the heads answer."""
+    probe = _pick_probe(name)
+    Engine(_burst_trace(11, 0.6), probe,
+           Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())).run()
+    assert 0 < probe.heads <= probe.picks
+
+
+@pytest.mark.parametrize("name", EDF_FAMILY)
+def test_edf_pick_matches_the_scan_under_global_dispatch(name):
+    """At m = 2 the first selection view of an event is the lifecycle's
+    (heads) and the second a ``without()`` view (scan)."""
+    probe = _pick_probe(name)
+    platform = MulticorePlatform.from_platform(Platform(), cores=2)
+    GlobalEngine(_burst_trace(13, 0.6), probe, platform).run()
+    assert 0 < probe.heads < probe.picks
+
+
+@pytest.mark.parametrize("name", EDF_FAMILY)
+def test_edf_pick_matches_the_scan_in_a_service_session(name):
+    probe = _pick_probe(name)
+    core = _serve(_burst_trace(7, 0.6), probe)
+    assert core.counters["completed"] > 0
+    assert 0 < probe.heads <= probe.picks
+
+
+@given(uam_scenarios(non_abortable=True), st.sampled_from(EDF_FAMILY))
+@settings(max_examples=10, deadline=None)
+def test_edf_pick_matches_the_scan_on_random_scenarios(scenario, name):
+    taskset, seed = scenario
+    trace = materialize(taskset, 1.0, np.random.default_rng(seed))
+    probe = _pick_probe(name)
+    Engine(trace, probe, Processor(FrequencyScale.powernow_k6(), EnergyModel.e1())).run()
+    assert probe.picks > 0
 
 
 @given(uam_scenarios())
@@ -568,12 +649,13 @@ def test_ranking_memo_matches_memoless_views(m, scenario, variant):
 def test_ranking_memo_serves_the_later_selection_calls():
     """On a loaded 4-core run the later selection calls of an event do
     read the ranking the first call stored (the oracle above would
-    pass vacuously otherwise)."""
+    pass vacuously otherwise), and the run equals a memo-less one."""
     rng = np.random.default_rng(5)
     trace = materialize(synthesize_taskset(3.2, rng), 0.5, rng)
     oracle = _MemoOracle()
-    _global_events(trace, oracle, 4)
+    probed = _global_events(trace, oracle, 4)
     assert 0 < oracle.derived < oracle.calls
+    assert probed == _global_events(trace, _Memoless(), 4)
 
 
 def test_second_decide_on_same_view_recomputes():
